@@ -19,7 +19,6 @@
 #include "grid/fieldset.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/update.hpp"
-#include "kernels/update_simd.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "tiling/dag.hpp"
@@ -30,7 +29,8 @@ namespace {
 
 using namespace emwd;
 
-void BM_UpdateRow(benchmark::State& state) {
+/// One row of state.range(0) cells through `row`.
+void run_update_row(benchmark::State& state, void (*row)(const kernels::RowArgs&) noexcept) {
   const int n = static_cast<int>(state.range(0));
   std::vector<double> x(2 * n, 1.0), t(2 * n, 0.5), c(2 * n, 0.25), src(2 * n, 0.1);
   std::vector<double> a(2 * 3 * n, 0.3), b(2 * 3 * n, 0.7);
@@ -45,40 +45,46 @@ void BM_UpdateRow(benchmark::State& state) {
   args.ds = 1.0;
   args.n = n;
   for (auto _ : state) {
-    kernels::update_row(args);
+    row(args);
     benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
   state.counters["flops/cell"] = 22;
 }
-BENCHMARK(BM_UpdateRow)->Arg(64)->Arg(256)->Arg(1024);
 
-// The paper's Sec. VI SIMD investigation: AVX2 vs scalar row kernel.
-void BM_UpdateRowAvx2(benchmark::State& state) {
-  if (!kernels::avx2_supported()) {
-    state.SkipWithError("AVX2 not available");
-    return;
-  }
-  const int n = static_cast<int>(state.range(0));
-  std::vector<double> x(2 * n, 1.0), t(2 * n, 0.5), c(2 * n, 0.25), src(2 * n, 0.1);
-  std::vector<double> a(2 * 3 * n, 0.3), b(2 * 3 * n, 0.7);
-  kernels::RowArgs args;
-  args.x = x.data();
-  args.t = t.data();
-  args.c = c.data();
-  args.src = src.data();
-  args.a = a.data() + 2 * n;
-  args.b = b.data() + 2 * n;
-  args.shift = -n;
-  args.ds = 1.0;
-  args.n = n;
-  for (auto _ : state) {
-    kernels::update_row_avx2(args);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
+/// The dispatched row kernel; the label names the body it ran.
+void BM_UpdateRow(benchmark::State& state) {
+  state.SetLabel(kernels::row_isa());
+  run_update_row(state, kernels::update_row);
 }
-BENCHMARK(BM_UpdateRowAvx2)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_UpdateRow)->Arg(16)->Arg(24)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
+
+/// The portable loop the dispatched kernel must match bit for bit (the
+/// paper's Sec. VI SIMD investigation: BM_UpdateRow over this is the gain).
+void BM_UpdateRowScalar(benchmark::State& state) {
+  run_update_row(state, kernels::update_row_scalar);
+}
+BENCHMARK(BM_UpdateRowScalar)->Arg(64)->Arg(256)->Arg(1024);
+
+/// One whole x-row of one component through update_comp_row on an nx x 8 x 8
+/// grid: BM_UpdateRow plus the per-row set-up (component table, source
+/// lookup, pointer arithmetic) that every engine pays once per row.  The
+/// set-up cost is this minus BM_UpdateRow at the same nx.
+void BM_UpdateCompRow(benchmark::State& state) {
+  const int nx = static_cast<int>(state.range(0));
+  grid::Layout L({nx, 8, 8});
+  grid::FieldSet fs(L);
+  em::build_random_stable(fs, 1);
+  for (auto _ : state) {
+    kernels::update_comp_row(fs, kernels::Comp::Hyx, 0, nx, 4, 4);
+    benchmark::DoNotOptimize(fs.field(kernels::Comp::Hyx).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * nx);
+  state.SetLabel(kernels::row_isa());
+}
+BENCHMARK(BM_UpdateCompRow)->Arg(16)->Arg(24)->Arg(128);
 
 void BM_ReferenceStep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -29,7 +29,7 @@
 #include "em/coefficients.hpp"
 #include "grid/fieldset.hpp"
 #include "io/snapshot.hpp"
-#include "kernels/update_simd.hpp"
+#include "kernels/update.hpp"
 #include "util/timer.hpp"
 #include "util/trace_cli.hpp"
 
@@ -185,9 +185,9 @@ int main(int argc, char** argv) {
          "dist/ subsystem: aggregate MLUP/s vs. z-shard count, barrier vs. overlap");
   const dist::NumaTopology topo = dist::NumaTopology::detect();
   std::printf("host: %d NUMA node(s), %d thread budget, grid %dx%dx%d, "
-              "exchange interval %d, avx2 %s\n\n",
+              "exchange interval %d, kernel_isa %s\n\n",
               topo.num_nodes, threads, nx, ny, nz, interval,
-              kernels::avx2_supported() ? "available" : "unavailable");
+              kernels::row_isa());
 
   const grid::Layout layout({nx, ny, nz});
   const std::int64_t useful =
@@ -321,7 +321,7 @@ int main(int argc, char** argv) {
         << "  \"grid\": {\"nx\": " << nx << ", \"ny\": " << ny << ", \"nz\": " << nz
         << "},\n  \"steps\": " << steps << ",\n  \"threads\": " << threads
         << ",\n  \"exchange_interval\": " << interval << ",\n  \"repeats\": " << repeats
-        << ",\n  \"avx2_available\": " << (kernels::avx2_supported() ? "true" : "false")
+        << ",\n  \"kernel_isa\": \"" << kernels::row_isa() << '"'
         << ",\n  \"rows\": [\n" << json_rows << "\n  ]\n}\n";
     if (!out) {
       std::fprintf(stderr, "FAIL: could not write %s\n", json_path.c_str());

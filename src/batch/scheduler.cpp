@@ -465,11 +465,14 @@ Scheduler::RunOutcome Scheduler::run_attempt(Job& job, std::size_t seq, int slot
       const int poll = cfg_.preempt_check_every > 0 ? cfg_.preempt_check_every : 16;
       hook_every = hook_every > 0 ? std::min(hook_every, poll) : poll;
     }
+    // Declared out here: the hook below captures it by reference and runs
+    // inside sim.run(), after the block that installs it has closed.
+    int next_ckpt = 0;
     if (hook_every > 0 && job.converge_tol == 0.0) {
       if (want_ckpt) writer = std::make_unique<io::SnapshotWriter>(sim.fields().layout());
-      int next_ckpt = want_ckpt ? ((sim.steps_done() / job.checkpoint_every) + 1) *
-                                      job.checkpoint_every
-                                : 0;
+      next_ckpt = want_ckpt ? ((sim.steps_done() / job.checkpoint_every) + 1) *
+                                  job.checkpoint_every
+                            : 0;
       sim.set_step_hook(hook_every, [&](int steps_done) {
         check_deadline();
         bool snap = false;

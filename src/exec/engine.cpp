@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "kernels/update_simd.hpp"
 #include "util/json.hpp"
 
 namespace emwd::exec {
@@ -106,9 +105,7 @@ EngineStats EngineStats::from_json(const util::JsonValue& v) {
   s.halo_transport = v.get_string("halo_transport", "");
   // kernel_isa is a static never-dangling string in EngineStats; intern the
   // known names and degrade anything else to the scalar default.
-  const std::string isa = v.get_string("kernel_isa", "scalar");
-  s.kernel_isa = isa == "avx2" ? kernels::to_string(kernels::KernelIsa::Avx2)
-                               : kernels::to_string(kernels::KernelIsa::Scalar);
+  s.kernel_isa = v.get_string("kernel_isa", "scalar") == "avx2" ? "avx2" : "scalar";
   return s;
 }
 

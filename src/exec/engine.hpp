@@ -58,13 +58,11 @@ struct EngineStats {
   /// "socket", "mpi", ...).  Empty for engines without a halo; registry
   /// names are dynamic, hence a string rather than a static pointer.
   std::string halo_transport;
-  /// Row-kernel ISA the engine actually dispatched to ("scalar" / "avx2";
-  /// static string, never dangles).  Defaults to "scalar" — every engine,
-  /// including wrappers and test doubles that never touch dispatch, reports
-  /// the bitwise-reference kernel unless dispatch overrides it, so stats
-  /// and bench CSV columns are never empty.  A dispatch miss in an
-  /// ISA-selecting build is thereby visible rather than silently degrading
-  /// throughput.
+  /// Body of kernels::update_row the engine's rows ran: kernels::row_isa(),
+  /// "avx2" or "scalar" (static string, never dangles).  The stock engines
+  /// set it on every run, so a CPU on which dispatch missed AVX2 shows here
+  /// and in the bench CSVs rather than only as lost throughput.  Defaults
+  /// to "scalar" so stats of wrappers and test doubles are never empty.
   const char* kernel_isa = "scalar";
 
   /// Exchange stall a shard could not hide: wait + copy - hidden.
@@ -81,8 +79,8 @@ struct EngineStats {
   std::string to_json() const;
 
   /// Exact inverse of to_json() (unknown fields ignored, absent fields
-  /// keep their defaults).  `kernel_isa` is interned to the static
-  /// dispatch-table strings so the pointer never dangles.
+  /// keep their defaults).  `kernel_isa` is interned to a static
+  /// "avx2" / "scalar" string so the pointer never dangles.
   static EngineStats from_json(const util::JsonValue& v);
 
   /// Fold another run's stats into this one so batch results aggregate

@@ -27,7 +27,6 @@
 #include "exec/thread_pool.hpp"
 #include "exec/traversal.hpp"
 #include "kernels/update.hpp"
-#include "kernels/update_simd.hpp"
 #include "obs/trace.hpp"
 #include "tiling/dag.hpp"
 #include "tiling/diamond.hpp"
@@ -211,7 +210,7 @@ class MwdEngine final : public Engine {
     stats_.barrier_episodes = barrier_episodes.load();
     stats_.queue_wait_seconds = static_cast<double>(queue_wait_ns.load()) / 1e9;
     stats_.barrier_wait_seconds = static_cast<double>(barrier_wait_ns.load()) / 1e9;
-    stats_.kernel_isa = kernels::to_string(kernels::resolve_isa(kernels::KernelIsa::Scalar));
+    stats_.kernel_isa = kernels::row_isa();
   }
 
  private:

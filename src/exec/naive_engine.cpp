@@ -10,7 +10,6 @@
 #include "exec/engine.hpp"
 #include "exec/thread_pool.hpp"
 #include "kernels/update.hpp"
-#include "kernels/update_simd.hpp"
 #include "obs/trace.hpp"
 #include "util/barrier.hpp"
 #include "util/timer.hpp"
@@ -60,7 +59,7 @@ class NaiveEngine final : public Engine {
                                stats_.seconds);
     stats_.barrier_episodes = barrier_count;
     stats_.tiles_executed = 0;
-    stats_.kernel_isa = kernels::to_string(kernels::resolve_isa(kernels::KernelIsa::Scalar));
+    stats_.kernel_isa = kernels::row_isa();
   }
 
  private:

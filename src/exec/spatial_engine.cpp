@@ -14,7 +14,6 @@
 #include "exec/engine.hpp"
 #include "exec/thread_pool.hpp"
 #include "kernels/update.hpp"
-#include "kernels/update_simd.hpp"
 #include "obs/trace.hpp"
 #include "util/barrier.hpp"
 #include "util/machine_detect.hpp"
@@ -96,7 +95,7 @@ class SpatialEngine final : public Engine {
                                stats_.seconds);
     stats_.barrier_episodes = barrier_count;
     stats_.tiles_executed = 0;
-    stats_.kernel_isa = kernels::to_string(kernels::resolve_isa(kernels::KernelIsa::Scalar));
+    stats_.kernel_isa = kernels::row_isa();
   }
 
   int block_y_used() const { return block_y_used_; }

@@ -1,12 +1,18 @@
 #include "kernels/update.hpp"
 
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define EMWD_ROW_AVX2 1
+#include <immintrin.h>
+#endif
+
 namespace emwd::kernels {
 namespace {
 
-/// Core loop shared by the src / no-src variants.  `HasSrc` is a compile-time
-/// switch so the no-source kernel carries no dead loads (paper Listing 2).
+/// Core loop shared by the src / no-src variants, from double i0 (complex
+/// cell i0/2) to the end of the row.  `HasSrc` is a compile-time switch so
+/// the no-source kernel carries no dead loads (paper Listing 2).
 template <bool HasSrc>
-inline void update_row_impl(const RowArgs& g) noexcept {
+inline void update_row_impl(const RowArgs& g, int i0) noexcept {
   double* __restrict x = g.x;
   const double* __restrict t = g.t;
   const double* __restrict c = g.c;
@@ -18,7 +24,7 @@ inline void update_row_impl(const RowArgs& g) noexcept {
   const double ds = g.ds;
   const int n2 = 2 * g.n;
 
-  for (int i = 0; i < n2; i += 2) {
+  for (int i = i0; i < n2; i += 2) {
     // Difference of the two partner split parts, base minus shifted (signed).
     const double re = ds * (a[i] - as[i] + b[i] - bs[i]);
     const double im = ds * (a[i + 1] - as[i + 1] + b[i + 1] - bs[i + 1]);
@@ -34,13 +40,88 @@ inline void update_row_impl(const RowArgs& g) noexcept {
   }
 }
 
+#ifdef EMWD_ROW_AVX2
+/// Two complex cells per vector, lanes [re0 im0 re1 im1], each lane computed
+/// in update_row_impl's evaluation order so the result is bit-identical.
+template <bool HasSrc>
+__attribute__((target("avx2"))) void row_avx2(const RowArgs& g) noexcept {
+  double* __restrict x = g.x;
+  const double* __restrict t = g.t;
+  const double* __restrict c = g.c;
+  const double* __restrict src = g.src;
+  const double* __restrict a = g.a;
+  const double* __restrict b = g.b;
+  const double* __restrict as = g.a + 2 * g.shift;
+  const double* __restrict bs = g.b + 2 * g.shift;
+  const __m256d ds = _mm256_set1_pd(g.ds);
+  const __m256d sign_bit = _mm256_set1_pd(-0.0);
+  const int n2 = 2 * g.n;
+  const int vec_end = n2 & ~3;
+
+  for (int i = 0; i < vec_end; i += 4) {
+    // d = [re im re im] = ds*(((A - As) + B) - Bs).
+    const __m256d d = _mm256_mul_pd(
+        ds, _mm256_sub_pd(_mm256_add_pd(_mm256_sub_pd(_mm256_loadu_pd(a + i),
+                                                      _mm256_loadu_pd(as + i)),
+                                        _mm256_loadu_pd(b + i)),
+                          _mm256_loadu_pd(bs + i)));
+    const __m256d vx = _mm256_loadu_pd(x + i);
+    const __m256d vt = _mm256_loadu_pd(t + i);
+    const __m256d vc = _mm256_loadu_pd(c + i);
+    // [x.re*t.re - x.im*t.im, x.re*t.im + x.im*t.re]
+    __m256d acc = _mm256_addsub_pd(
+        _mm256_mul_pd(_mm256_movedup_pd(vx), vt),
+        _mm256_mul_pd(_mm256_permute_pd(vx, 0xF), _mm256_permute_pd(vt, 0x5)));
+    // - [c.re*re, c.re*im]
+    acc = _mm256_sub_pd(acc, _mm256_mul_pd(_mm256_movedup_pd(vc), d));
+    // + [c.im*im, -c.im*re]: addsub of the negated product.
+    acc = _mm256_addsub_pd(
+        acc, _mm256_xor_pd(_mm256_mul_pd(_mm256_permute_pd(vc, 0xF),
+                                         _mm256_permute_pd(d, 0x5)),
+                           sign_bit));
+    if constexpr (HasSrc) acc = _mm256_add_pd(acc, _mm256_loadu_pd(src + i));
+    _mm256_storeu_pd(x + i, acc);
+  }
+  update_row_impl<HasSrc>(g, vec_end);  // the odd cell, if any
+}
+
+__attribute__((target("avx2"))) void run_avx2(const RowArgs& g) noexcept {
+  if (g.src != nullptr) {
+    row_avx2<true>(g);
+  } else {
+    row_avx2<false>(g);
+  }
+}
+#endif
+
+struct RowKernel {
+  void (*run)(const RowArgs&) noexcept;
+  const char* isa;
+};
+
+/// Resolved on first use, so no static initializer depends on it.
+const RowKernel& row_kernel() noexcept {
+  static const RowKernel kernel = [] {
+#ifdef EMWD_ROW_AVX2
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) return RowKernel{run_avx2, "avx2"};
+#endif
+    return RowKernel{update_row_scalar, "scalar"};
+  }();
+  return kernel;
+}
+
 }  // namespace
 
-void update_row(const RowArgs& args) noexcept {
+void update_row(const RowArgs& args) noexcept { row_kernel().run(args); }
+
+const char* row_isa() noexcept { return row_kernel().isa; }
+
+void update_row_scalar(const RowArgs& args) noexcept {
   if (args.src != nullptr) {
-    update_row_impl<true>(args);
+    update_row_impl<true>(args, 0);
   } else {
-    update_row_impl<false>(args);
+    update_row_impl<false>(args, 0);
   }
 }
 

@@ -1,10 +1,25 @@
 // The THIIM component-update kernels.
 //
-// update_row() is the library's innermost loop: one x-row of one split
-// component, in exactly the complex-arithmetic form of the paper's Listings
-// 1 and 2 (interleaved re/im doubles, read-modify-write of the component,
-// two partner reads at base and shifted index, complex t and c coefficients,
-// optional source term).
+// update_row() is the library's innermost loop and its only row-kernel
+// entry point: one x-row of one split component, in exactly the
+// complex-arithmetic form of the paper's Listings 1 and 2 (interleaved re/im
+// doubles, read-modify-write of the component, two partner reads at base and
+// shifted index, complex t and c coefficients, optional source term).
+//
+// update_row() runs one of two bodies, chosen once per process: on x86 CPUs
+// with AVX2, two complex cells per 256-bit vector (the paper's Sec. VI SIMD
+// item); elsewhere the portable loop update_row_scalar().  row_isa() names
+// the body that runs, and engines record it as EngineStats::kernel_isa.
+//
+// The two bodies are bit-exact, so every engine stays bitwise identical to
+// the naive reference whichever body a CPU picks.  The scalar loop is the
+// reference: the AVX2 body evaluates each output in the scalar loop's order,
+// operand for operand, folding `+ c.im*im` into an addsub of the negated
+// product (negation is exact).  Bit-exactness also needs the absence of
+// fused multiply-adds: the AVX2 body is compiled for target "avx2" alone,
+// never "fma" or a -march level that includes it, so no multiply can be
+// fused into the add after it, and the build pins -ffp-contract=off for the
+// scalar loop (CMakeLists.txt notes why -march flags with FMA stay out).
 #pragma once
 
 #include <cstddef>
@@ -29,8 +44,16 @@ struct RowArgs {
 };
 
 /// X[p] = t[p]*X[p] (+ src[p]) - c[p] * (ds*(A[p]-A[p+shift]) + ds*(B[p]-B[p+shift]))
-/// with full complex arithmetic (22 flops/cell with src, 20 without).
+/// with full complex arithmetic (22 flops/cell with src, 20 without), by
+/// the body row_isa() names.
 void update_row(const RowArgs& args) noexcept;
+
+/// "avx2" or "scalar": the body update_row() runs on this CPU (a static
+/// string, never dangles).
+const char* row_isa() noexcept;
+
+/// The portable loop; bit-for-bit what update_row() computes.
+void update_row_scalar(const RowArgs& args) noexcept;
 
 /// Convenience wrapper: updates component `comp` for the x-range [x0, x1)
 /// of row (j, k) of `fs`.  Resolves arrays, shift offset and diff sign from

@@ -18,6 +18,7 @@
 #include "em/coefficients.hpp"
 #include "grid/fieldset.hpp"
 #include "kernels/reference.hpp"
+#include "kernels/update.hpp"
 #include "models/machine.hpp"
 #include "tune/autotuner.hpp"
 #include "util/machine_detect.hpp"
@@ -333,7 +334,7 @@ TEST(ShardedOverlap, BarrierModeReportsWaitButNoOverlapFlag) {
   EXPECT_FALSE(engine->stats().halo_overlapped);
   EXPECT_GE(engine->stats().halo_wait_seconds, 0.0);
   EXPECT_EQ(engine->stats().halo_hidden_seconds, 0.0);
-  EXPECT_STREQ(engine->stats().kernel_isa, "scalar");
+  EXPECT_STREQ(engine->stats().kernel_isa, kernels::row_isa());
 }
 
 // ------------------------------------------------------------- transports

@@ -13,6 +13,7 @@
 #include "exec/thread_pool.hpp"
 #include "exec/traversal.hpp"
 #include "kernels/reference.hpp"
+#include "kernels/update.hpp"
 #include "tiling/diamond.hpp"
 #include "util/json.hpp"
 
@@ -351,22 +352,22 @@ TEST(EngineStatsMerge, ZeroSecondsPairTakesMaxMlups) {
 }
 
 TEST(Engines, StatsRecordTheResolvedKernelIsa) {
-  // All stock engines drive the scalar bitwise-reference row kernel; the
-  // stats field exists so an ISA-dispatch miss is observable, not silent.
+  // Every stock engine runs its rows through kernels::update_row and
+  // reports the body that dispatch picked on this CPU.
   grid::Layout L({8, 8, 8});
   grid::FieldSet fs(L);
   em::build_random_stable(fs, 59);
   auto naive = exec::make_naive_engine(1);
   naive->run(fs, 1);
-  EXPECT_STREQ(naive->stats().kernel_isa, "scalar");
+  EXPECT_STREQ(naive->stats().kernel_isa, kernels::row_isa());
   auto spatial = exec::make_spatial_engine(1);
   spatial->run(fs, 1);
-  EXPECT_STREQ(spatial->stats().kernel_isa, "scalar");
+  EXPECT_STREQ(spatial->stats().kernel_isa, kernels::row_isa());
   exec::MwdParams p;
   p.dw = 2;
   auto mwd = exec::make_mwd_engine(p);
   mwd->run(fs, 1);
-  EXPECT_STREQ(mwd->stats().kernel_isa, "scalar");
+  EXPECT_STREQ(mwd->stats().kernel_isa, kernels::row_isa());
 }
 
 TEST(Engines, KernelIsaNeverEmptyEvenForWrapperEngines) {

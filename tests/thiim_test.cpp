@@ -1,6 +1,7 @@
 // Facade tests: the public Simulation API.
 #include <gtest/gtest.h>
 
+#include "kernels/update.hpp"
 #include "thiim/simulation.hpp"
 
 namespace {
@@ -133,7 +134,7 @@ TEST(Simulation, EngineSpecStringSelectsTheEngine) {
   sim.run(2);
   EXPECT_NE(sim.engine().name().find("dw=2"), std::string::npos);
   EXPECT_EQ(sim.engine().threads(), 2);
-  EXPECT_STREQ(sim.last_stats().kernel_isa, "scalar");
+  EXPECT_STREQ(sim.last_stats().kernel_isa, kernels::row_isa());
 
   auto bad = small_cfg(EngineKind::Naive);
   bad.engine_spec = "mwd(dw=";  // malformed: throws, never crashes
