@@ -387,9 +387,7 @@ Scheduler::RunOutcome Scheduler::run_attempt(Job& job, std::size_t seq, int slot
     // Resolve any `auto` once per (spec, shape, threads) via the PlanCache,
     // so the pool key below is concrete and later same-shape jobs skip the
     // tuner entirely.
-    exec::EngineSpec spec = cfg.engine_spec.empty()
-                                ? thiim::lower_engine_spec(cfg)
-                                : exec::parse_engine_spec(cfg.engine_spec);
+    exec::EngineSpec spec = cfg.spec();
     exec::BuildContext ctx;
     ctx.grid = cfg.grid;
     ctx.threads = cfg.threads;

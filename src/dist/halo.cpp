@@ -29,20 +29,6 @@ double spin_until(const std::atomic<std::int64_t>& counter, std::int64_t round) 
 
 }  // namespace
 
-HaloStats& HaloStats::operator+=(const HaloStats& o) {
-  exchanges += o.exchanges;
-  planes_copied += o.planes_copied;
-  bytes_moved += o.bytes_moved;
-  seconds += o.seconds;
-  wait_seconds += o.wait_seconds;
-  hidden_seconds += o.hidden_seconds;
-  staged_bytes += o.staged_bytes;
-  unstaged_bytes += o.unstaged_bytes;
-  stage_seconds += o.stage_seconds;
-  unstage_seconds += o.unstage_seconds;
-  return *this;
-}
-
 HaloExchange::HaloExchange(const Partitioner& part,
                            std::vector<grid::FieldSet*> shard_sets,
                            std::unique_ptr<Transport> transport)
@@ -77,7 +63,7 @@ void HaloExchange::pull_hi(int s) {
 void HaloExchange::exchange_for(int s) {
   OBS_SPAN("halo.exchange", s);
   const ShardExtent& e = part_.shard(s);
-  HaloStats& st = stats_[static_cast<std::size_t>(s)];
+  exec::EngineStats& st = stats_[static_cast<std::size_t>(s)];
   util::Timer timer;
   std::int64_t planes = 0;
 
@@ -93,10 +79,8 @@ void HaloExchange::exchange_for(int s) {
   const std::int64_t plane_bytes =
       static_cast<std::int64_t>(
           shards_[static_cast<std::size_t>(s)]->layout().stride_z()) * 16;  // complex cells
-  st.exchanges += 1;
-  st.planes_copied += planes * kernels::kNumComps;
-  st.bytes_moved += planes * kernels::kNumComps * plane_bytes;
-  st.seconds += timer.seconds();
+  st.halo_bytes_moved += planes * kernels::kNumComps * plane_bytes;
+  st.halo_exchange_seconds += timer.seconds();
 }
 
 void HaloExchange::reset_flow() {
@@ -154,7 +138,7 @@ void HaloExchange::post(int s, std::int64_t round, bool drain) {
 
   if (!drain) {
     OBS_SPAN("halo.post", s);
-    HaloStats& st = stats_[static_cast<std::size_t>(s)];
+    exec::EngineStats& st = stats_[static_cast<std::size_t>(s)];
     // Buffer reuse: the consumer of round-1's snapshot must be done with it.
     // Free unless this shard is a full round ahead of a neighbor.
     double reuse_wait = 0.0;
@@ -179,17 +163,17 @@ void HaloExchange::post(int s, std::int64_t round, bool drain) {
     const double stage_s = copy.seconds();
     const std::int64_t plane_bytes =
         static_cast<std::int64_t>(mine.layout().stride_z()) * 16;
-    st.seconds += stage_s;
-    st.stage_seconds += stage_s;
-    st.staged_bytes += staged_planes * kernels::kNumComps * plane_bytes;
-    st.wait_seconds += reuse_wait;
+    st.halo_exchange_seconds += stage_s;
+    st.halo_stage_seconds += stage_s;
+    st.halo_staged_bytes += staged_planes * kernels::kNumComps * plane_bytes;
+    st.halo_wait_seconds += reuse_wait;
   }
   c.store(round, std::memory_order_release);
 }
 
 void HaloExchange::wait(int s, std::int64_t round, bool drain) {
   const ShardExtent& e = part_.shard(s);
-  HaloStats& st = stats_[static_cast<std::size_t>(s)];
+  exec::EngineStats& st = stats_[static_cast<std::size_t>(s)];
   auto& my_lo = consumed_lo_[static_cast<std::size_t>(s)].v;
   auto& my_hi = consumed_hi_[static_cast<std::size_t>(s)].v;
 
@@ -237,7 +221,7 @@ void HaloExchange::wait(int s, std::int64_t round, bool drain) {
                           e.to_local(e.ext_z0()), e.lo);
       const double c = copy.seconds();
       copy_seconds += c;
-      st.unstage_seconds += c;
+      st.halo_unstage_seconds += c;
       if (other_pending) hidden_seconds += c;
       planes += e.lo;
       my_lo.store(round, std::memory_order_release);
@@ -258,7 +242,7 @@ void HaloExchange::wait(int s, std::int64_t round, bool drain) {
                           e.to_local(e.z1), e.hi);
       const double c = copy.seconds();
       copy_seconds += c;
-      st.unstage_seconds += c;
+      st.halo_unstage_seconds += c;
       if (other_pending) hidden_seconds += c;
       planes += e.hi;
       my_hi.store(round, std::memory_order_release);
@@ -274,18 +258,19 @@ void HaloExchange::wait(int s, std::int64_t round, bool drain) {
   const std::int64_t plane_bytes =
       static_cast<std::int64_t>(
           shards_[static_cast<std::size_t>(s)]->layout().stride_z()) * 16;
-  st.exchanges += 1;
-  st.planes_copied += planes * kernels::kNumComps;
-  st.bytes_moved += planes * kernels::kNumComps * plane_bytes;
-  st.unstaged_bytes += planes * kernels::kNumComps * plane_bytes;
-  st.seconds += copy_seconds;
-  st.hidden_seconds += hidden_seconds;
-  st.wait_seconds += episode.seconds() - copy_seconds;
+  st.halo_bytes_moved += planes * kernels::kNumComps * plane_bytes;
+  st.halo_unstaged_bytes += planes * kernels::kNumComps * plane_bytes;
+  st.halo_exchange_seconds += copy_seconds;
+  st.halo_hidden_seconds += hidden_seconds;
+  st.halo_wait_seconds += episode.seconds() - copy_seconds;
 }
 
-HaloStats HaloExchange::total() const {
-  HaloStats sum;
-  for (const HaloStats& st : stats_) sum += st;
+exec::EngineStats HaloExchange::take_stats() {
+  exec::EngineStats sum;
+  for (exec::EngineStats& st : stats_) {
+    exec::accumulate_work(sum, st);
+    st = exec::EngineStats{};
+  }
   return sum;
 }
 

@@ -39,26 +39,10 @@
 
 #include "dist/partition.hpp"
 #include "dist/transport.hpp"
+#include "exec/engine.hpp"
 #include "grid/fieldset.hpp"
 
 namespace emwd::dist {
-
-struct HaloStats {
-  std::int64_t exchanges = 0;      // pull episodes performed
-  std::int64_t planes_copied = 0;  // z-planes moved (x 12 field arrays)
-  std::int64_t bytes_moved = 0;    // payload bytes
-  double seconds = 0.0;            // thread-seconds spent copying
-  double wait_seconds = 0.0;       // thread-seconds stalled on neighbor readiness
-  double hidden_seconds = 0.0;     // copy seconds overlapped with a pending wait
-  // Per-transport accounting of the overlapped protocol's two halves
-  // (barrier-mode pulls count only into bytes_moved/seconds above):
-  std::int64_t staged_bytes = 0;    // payload packed by Transport::stage
-  std::int64_t unstaged_bytes = 0;  // payload unpacked by Transport::unstage
-  double stage_seconds = 0.0;       // thread-seconds inside stage
-  double unstage_seconds = 0.0;     // thread-seconds inside unstage
-
-  HaloStats& operator+=(const HaloStats& o);
-};
 
 class HaloExchange {
  public:
@@ -101,10 +85,20 @@ class HaloExchange {
   /// redoing finished sides.
   void wait(int s, std::int64_t round, bool drain = false);
 
-  const HaloStats& stats(int s) const {
+  /// Shard `s`'s exchange counters since the last take_stats(), in the
+  /// `halo_*` fields of exec::EngineStats (every other field stays zero):
+  /// copy seconds and payload bytes of exchange_for and of the post/wait
+  /// protocol, wait and hidden seconds of the overlapped protocol, and the
+  /// transport's staged/unstaged bytes and seconds.  Only the thread
+  /// exchanging for shard `s` writes it: read it there or after a join.
+  const exec::EngineStats& stats(int s) const {
     return stats_.at(static_cast<std::size_t>(s));
   }
-  HaloStats total() const;
+
+  /// Sum of all shards' stats(), which are then zeroed.  Single-threaded:
+  /// call it when no shard thread is running (the sharded engine does so
+  /// once per run, after the join).
+  exec::EngineStats take_stats();
 
   /// Payload bytes one full exchange episode moves across all shards.
   std::int64_t bytes_per_exchange() const;
@@ -134,7 +128,7 @@ class HaloExchange {
   const Partitioner& part_;
   std::vector<grid::FieldSet*> shards_;
   std::unique_ptr<Transport> transport_;
-  std::vector<HaloStats> stats_;
+  std::vector<exec::EngineStats> stats_;
   std::vector<RoundCounter> posted_;       // rounds shard s has staged + published
   std::vector<RoundCounter> consumed_lo_;  // rounds whose lo ghosts shard s pulled
   std::vector<RoundCounter> consumed_hi_;  // rounds whose hi ghosts shard s pulled

@@ -143,7 +143,6 @@ class ShardedEngine final : public PreparableEngine {
 
     std::vector<exec::EngineStats> shard_work(static_cast<std::size_t>(K));
     util::SpinBarrier barrier(K);
-    const HaloStats halo_before = st.halo->total();
     if (overlapped) {
       st.halo->reset_flow();  // single-threaded: no shard thread is running yet
       for (ShardFlow& flow : st.flows) flow.wait_round = 0;
@@ -196,30 +195,24 @@ class ShardedEngine final : public PreparableEngine {
       if (!failed.load(std::memory_order_acquire)) part.gather(local, fs, s);
     });
     const double seconds = timer.seconds();
+    // Taken even from a failed run, so its counts never reach the next one.
+    const exec::EngineStats halo = st.halo->take_stats();
 
     // Clear before the rethrow so a caller that catches and inspects
     // stats() never sees a previous successful run's numbers.
     stats_ = exec::EngineStats{};
     if (first_error) std::rethrow_exception(first_error);
 
+    // Barrier-mode waits were accumulated per shard into shard_work; the
+    // exchanger holds the copies and the overlap-mode waits.  The two
+    // sources never count the same stall.
     for (const auto& work : shard_work) exec::accumulate_work(stats_, work);
-    const HaloStats halo_after = st.halo->total();
+    exec::accumulate_work(stats_, halo);
     stats_.seconds = seconds;
     stats_.steps = steps;
     stats_.shards = K;
     stats_.halo_overlapped = overlapped;
-    stats_.halo_exchange_seconds = halo_after.seconds - halo_before.seconds;
-    stats_.halo_bytes_moved = halo_after.bytes_moved - halo_before.bytes_moved;
-    // Barrier-mode waits were accumulated per shard into shard_work (and
-    // summed by accumulate_work above); overlap-mode waits live in the
-    // exchanger's per-shard stats.  The two sources never overlap.
-    stats_.halo_wait_seconds += halo_after.wait_seconds - halo_before.wait_seconds;
-    stats_.halo_hidden_seconds += halo_after.hidden_seconds - halo_before.hidden_seconds;
     stats_.halo_transport = p_.transport;
-    stats_.halo_staged_bytes = halo_after.staged_bytes - halo_before.staged_bytes;
-    stats_.halo_unstaged_bytes = halo_after.unstaged_bytes - halo_before.unstaged_bytes;
-    stats_.halo_stage_seconds = halo_after.stage_seconds - halo_before.stage_seconds;
-    stats_.halo_unstage_seconds = halo_after.unstage_seconds - halo_before.unstage_seconds;
     stats_.mlups = util::mlups(static_cast<std::int64_t>(L.interior().cells()), steps,
                                stats_.seconds);
   }
@@ -258,7 +251,7 @@ class ShardedEngine final : public PreparableEngine {
       remaining -= chunk;
       if (remaining == 0) break;
       // All shards finished the round before anyone reads owned planes.
-      const double copy_before = st.halo->stats(s).seconds;
+      const double copy_before = st.halo->stats(s).halo_exchange_seconds;
       util::Timer wait_timer;
       barrier.arrive_and_wait();
       if (!failed.load(std::memory_order_acquire)) {
@@ -269,7 +262,7 @@ class ShardedEngine final : public PreparableEngine {
         }
       }
       barrier.arrive_and_wait();
-      const double copied = st.halo->stats(s).seconds - copy_before;
+      const double copied = st.halo->stats(s).halo_exchange_seconds - copy_before;
       work.halo_wait_seconds += std::max(0.0, wait_timer.seconds() - copied);
     }
   }

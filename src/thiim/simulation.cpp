@@ -11,62 +11,9 @@
 
 namespace emwd::thiim {
 
-exec::EngineSpec lower_engine_spec(const SimulationConfig& cfg) {
-  exec::EngineSpec spec;
-  switch (cfg.engine) {
-    case EngineKind::Naive:
-      spec.kind = "naive";
-      break;
-    case EngineKind::Spatial:
-      spec.kind = "spatial";
-      break;
-    case EngineKind::Mwd:
-      // An explicit MwdParams pins every field; a bare "mwd" defers to the
-      // registry's 1WD-style default (one thread group per budget thread).
-      spec = cfg.mwd ? exec::to_spec(*cfg.mwd) : exec::EngineSpec{"mwd", {}};
-      break;
-    case EngineKind::Auto:
-      spec.kind = "auto";
-      break;
-    case EngineKind::Sharded: {
-      if (cfg.shard_engine == EngineKind::Sharded) {
-        throw std::invalid_argument("SimulationConfig: shard_engine cannot be Sharded");
-      }
-      spec.kind = "sharded";
-      if (cfg.num_shards > 0) spec.add("shards", static_cast<long>(cfg.num_shards));
-      if (cfg.shard_exchange_interval > 0) {
-        spec.add("interval", static_cast<long>(cfg.shard_exchange_interval));
-      }
-      if (cfg.shard_overlap) spec.add_flag("overlap");
-      switch (cfg.shard_engine) {
-        case EngineKind::Auto:
-          spec.add("inner", std::string("auto"));
-          if (cfg.shard_tune_mode == ShardTuneMode::Measured) {
-            spec.add("tune", std::string("measured"));
-          }
-          break;
-        case EngineKind::Naive:
-          spec.add("inner", std::string("naive"));
-          break;
-        case EngineKind::Spatial:
-          spec.add("inner", std::string("spatial"));
-          break;
-        default:  // Mwd
-          if (!cfg.shard_mwd.empty()) {
-            for (std::size_t s = 0; s < cfg.shard_mwd.size(); ++s) {
-              spec.add("inner" + std::to_string(s), exec::to_spec(cfg.shard_mwd[s]));
-            }
-          } else if (cfg.mwd) {
-            spec.add("inner", exec::to_spec(*cfg.mwd));
-          } else {
-            spec.add("inner", std::string("mwd"));
-          }
-          break;
-      }
-      break;
-    }
-  }
-  return spec;
+exec::EngineSpec SimulationConfig::spec() const {
+  return engine_spec.empty() ? exec::EngineSpec{"auto", {}}
+                             : exec::parse_engine_spec(engine_spec);
 }
 
 Simulation::Simulation(const SimulationConfig& cfg)
@@ -95,11 +42,7 @@ Simulation::Simulation(const SimulationConfig& cfg, const BorrowedState& borrowe
   if (borrowed.engine) {
     engine_ = borrowed.engine;
   } else {
-    // One construction path: an explicit spec string, or the deprecated flat
-    // fields lowered onto the identical spec, both built by the registry.
-    const exec::EngineSpec spec = cfg.engine_spec.empty()
-                                      ? lower_engine_spec(cfg)
-                                      : exec::parse_engine_spec(cfg.engine_spec);
+    const exec::EngineSpec spec = cfg.spec();
     exec::BuildContext ctx;
     ctx.grid = cfg.grid;
     ctx.threads = cfg.threads > 0 ? cfg.threads : util::detect_host().logical_cpus;

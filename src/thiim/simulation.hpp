@@ -16,7 +16,6 @@
 
 #include <complex>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "em/coefficients.hpp"
@@ -32,14 +31,6 @@
 
 namespace emwd::thiim {
 
-enum class EngineKind { Naive, Spatial, Mwd, Auto, Sharded };
-
-/// How EngineKind::Sharded + shard_engine == Auto picks its plan: Model
-/// ranks (num_shards, exchange_interval, per-shard MwdParams) with the
-/// analytic cost model only; Measured additionally times the top plans on
-/// the real ShardedEngine for a few steps (slower startup, better plans).
-enum class ShardTuneMode { Model, Measured };
-
 struct SimulationConfig {
   grid::Extents grid{64, 64, 64};
   double wavelength_cells = 24.0;  // incident wavelength in mesh cells
@@ -51,48 +42,16 @@ struct SimulationConfig {
 
   /// Engine selection: a spec string from the canonical grammar (see
   /// src/exec/README.md), e.g. "naive", "mwd(dw=8,bz=2,tc=3)",
-  /// "sharded(shards=4,interval=2,overlap,inner=auto)".  When non-empty it
-  /// wins and the deprecated flat fields below are ignored; the engine is
-  /// built through exec::EngineRegistry::global().
+  /// "sharded(shards=4,interval=2,overlap,inner=auto)".  Empty means
+  /// "auto"; the engine is built through exec::EngineRegistry::global().
   std::string engine_spec;
 
   int threads = 0;                 // 0: hardware concurrency
 
-  // --------------------------------------------------------------------
-  // DEPRECATED flat engine fields.  Honored only while `engine_spec` is
-  // empty: the constructor lowers them onto a spec (see lower_engine_spec)
-  // and builds through the same registry path.  New code should write a
-  // spec string instead.
-  // --------------------------------------------------------------------
-  EngineKind engine = EngineKind::Auto;
-  std::optional<exec::MwdParams> mwd;  // explicit MWD parameters (else tuned)
-  /// EngineKind::Sharded only: z-shards (with a fixed inner engine, 0 = one
-  /// per detected NUMA node; with shard_engine == Auto, 0 = let the tuner
-  /// search the shard-count axis), the engine advancing each shard
-  /// (Naive/Spatial/Mwd; Auto runs the sharded tuner, emitting per-shard
-  /// MwdParams), and steps between halo exchanges (0 = 1 for fixed inner
-  /// engines; for Auto, 0 = let the tuner search the interval axis).
-  int num_shards = 0;
-  EngineKind shard_engine = EngineKind::Naive;
-  int shard_exchange_interval = 0;
-  /// Sharded + Auto only: Model (default) scores plans analytically;
-  /// Measured also times the top plans on the real ShardedEngine.
-  ShardTuneMode shard_tune_mode = ShardTuneMode::Model;
-  /// Sharded + Mwd only: explicit per-shard MWD parameters (shard s runs
-  /// shard_mwd[s]); empty defers to `mwd` for every shard.
-  std::vector<exec::MwdParams> shard_mwd;
-  /// Sharded only: overlapped (post/wait) halo exchange instead of the
-  /// full-stop barriers.  With shard_engine == Auto this pins the tuner's
-  /// overlap axis on; leave false there to let the tuner search it.
-  bool shard_overlap = false;
+  /// The parsed engine spec, with an empty `engine_spec` read as "auto".
+  /// Throws std::invalid_argument for a malformed string.
+  exec::EngineSpec spec() const;
 };
-
-/// Lower the deprecated flat engine fields of `cfg` to the engine spec the
-/// constructor builds (the shim behind SimulationConfig::engine_spec).
-/// Exposed so callers and tests can see exactly what a flat config means.
-/// Throws std::invalid_argument for contradictory fields
-/// (shard_engine == Sharded).
-exec::EngineSpec lower_engine_spec(const SimulationConfig& cfg);
 
 /// Pooled resources a Simulation may borrow instead of allocating and
 /// building its own — the seam the batch subsystem's EnginePool uses so

@@ -4,9 +4,8 @@
 // EngineRegistry::global() through the exec::detail hook, so every caller
 // of the registry sees the full kind set without including this layer.
 //
-// Builder semantics mirror (bit-for-bit) the construction logic the thiim
-// facade used before the spec redesign; thiim now lowers its deprecated
-// flat fields onto these specs (see thiim::lower_engine_spec).
+// thiim::Simulation and batch::Scheduler build every engine through the
+// registry from SimulationConfig::spec(); an empty spec builds "auto".
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
@@ -83,9 +82,8 @@ std::unique_ptr<exec::Engine> build_sharded(const EngineSpec& spec,
     if (!per_shard.empty()) {
       throw std::invalid_argument("engine spec: inner=auto excludes per-shard inners");
     }
-    // The sharded tuner picks the plan (exactly as thiim's
-    // EngineKind::Sharded + shard_engine == Auto did); the resolved spec is
-    // fully pinned, so this re-enters build_sharded on the fixed-inner path.
+    // The sharded tuner picks the plan; the resolved spec is fully pinned,
+    // so this re-enters build_sharded on the fixed-inner path.
     return ctx.registry->build(tune::resolve_auto_spec(spec, ctx), ctx);
   }
   if (spec.has("tune")) {
@@ -140,7 +138,8 @@ std::unique_ptr<exec::Engine> build_sharded(const EngineSpec& spec,
   return dist::make_sharded_engine(p);
 }
 
-/// auto: stage-1 (model-ranked) MWD autotuning — thiim's EngineKind::Auto.
+/// auto: stage-1 (model-ranked) MWD autotuning — the engine an empty
+/// SimulationConfig::engine_spec selects.
 std::unique_ptr<exec::Engine> build_auto(const EngineSpec& spec,
                                          const BuildContext& ctx) {
   return ctx.registry->build(tune::resolve_auto_spec(spec, ctx), ctx);

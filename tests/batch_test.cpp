@@ -326,7 +326,8 @@ TEST(SchedulerPooling, RepeatedShapesSkipRebuildAndRetuning) {
   batch::Scheduler scheduler(sc);
   for (int i = 0; i < n_jobs; ++i) {
     batch::Job job;
-    job.config = scene_config(12.0 + i, "auto");  // same shape, same spec
+    // Same shape, same spec: an empty engine_spec is "auto".
+    job.config = scene_config(12.0 + i, i % 2 ? "" : "auto");
     job.steps = 4;
     job.setup = paint_scene;
     scheduler.submit(std::move(job));

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "em/material.hpp"
-#include "io/checkpoint.hpp"
 #include "io/export.hpp"
 #include "io/snapshot.hpp"
 #include "thiim/simulation.hpp"
@@ -86,51 +85,6 @@ TEST(IoExport, VtkHeaderAndCellCount) {
   int lines = 0;
   for (std::size_t i = table + 21; i < text.size(); ++i) lines += (text[i] == '\n');
   EXPECT_EQ(lines, 60);
-}
-
-TEST(Checkpoint, RoundTripsFieldsExactly) {
-  grid::Layout L({5, 6, 7});
-  grid::FieldSet a(L), b(L);
-  // Distinctive per-cell values in every component.
-  for (const auto& c : kernels::kComps) {
-    for (int k = 0; k < 7; ++k) {
-      for (int j = 0; j < 6; ++j) {
-        for (int i = 0; i < 5; ++i) {
-          a.field(c.self).set(i, j, k,
-                              {i + 10.0 * j + 100.0 * k, 0.5 * kernels::idx(c.self)});
-        }
-      }
-    }
-  }
-  std::stringstream buffer;
-  io::save_fields(buffer, a);
-  io::load_fields(buffer, b);
-  EXPECT_EQ(grid::FieldSet::max_field_diff(a, b), 0.0);
-  // Halo of the loaded set stays zero (Dirichlet preserved).
-  EXPECT_EQ(b.field(kernels::Comp::Exy).at(-1, 0, 0), std::complex<double>(0, 0));
-}
-
-TEST(Checkpoint, RejectsMismatchedGridsAndGarbage) {
-  grid::Layout L({4, 4, 4});
-  grid::FieldSet a(L);
-  std::stringstream buffer;
-  io::save_fields(buffer, a);
-  grid::FieldSet wrong(grid::Layout({4, 4, 5}));
-  EXPECT_THROW(io::load_fields(buffer, wrong), std::runtime_error);
-  std::stringstream garbage("this is not a checkpoint");
-  grid::FieldSet b(L);
-  EXPECT_THROW(io::load_fields(garbage, b), std::runtime_error);
-}
-
-TEST(Checkpoint, FileRoundTripAndMissingFile) {
-  grid::Layout L({3, 3, 3});
-  grid::FieldSet a(L), b(L);
-  a.field(kernels::Comp::Hzx).set(1, 1, 1, {7.0, -2.0});
-  const std::string path = testing::TempDir() + "/emwd_ckpt.bin";
-  io::save_fields_file(path, a);
-  io::load_fields_file(path, b);
-  EXPECT_EQ(grid::FieldSet::max_field_diff(a, b), 0.0);
-  EXPECT_THROW(io::load_fields_file("/no/such/file.bin", b), std::runtime_error);
 }
 
 TEST(IoExport, FileWritersCreateFiles) {
