@@ -46,8 +46,8 @@ struct RowResult {
   io::SnapshotWriter::Stats ckpt;  // cumulative over repeats (--checkpoint-every)
 };
 
-/// Warmup outside the timed region (also triggers the sharded engine's
-/// prepare() allocation), then the best of `repeats` timed runs (the
+/// Warmup outside the timed region (the sharded engine's first run also
+/// allocates its shard state), then the best of `repeats` timed runs (the
 /// tuner's stage-2 methodology).  With ckpt_every > 0 the run checkpoints
 /// to `ckpt_path` through the async SnapshotWriter and the `seconds` column
 /// becomes wall time around run_hooked — capture stalls included, so

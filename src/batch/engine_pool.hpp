@@ -7,8 +7,8 @@
 // that means K more FieldSets plus halo staging).  The pool keeps idle
 // engines and FieldSets keyed by (canonical spec string, grid extents,
 // thread budget) and hands them out under an exclusive lease; engines carry
-// their own per-shape prepared state (MWD tiling cache, PreparableEngine
-// shard FieldSets), so a pooled engine's second run skips all of it.
+// their own per-shape prepared state (MWD tiling cache, the sharded
+// engine's shard FieldSets), so a pooled engine's second run skips all of it.
 //
 // The PlanCache memoizes tune::resolve_auto_spec by the same key: the first
 // job with an `auto` spec pays for the tuner, every later job on the same

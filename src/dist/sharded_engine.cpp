@@ -18,20 +18,17 @@
 
 namespace emwd::dist {
 
-std::string to_string(InnerKind kind) {
-  switch (kind) {
-    case InnerKind::Naive: return "naive";
-    case InnerKind::Spatial: return "spatial";
-    case InnerKind::Mwd: return "mwd";
-  }
-  return "naive";
-}
-
 std::string ShardedParams::describe() const {
   std::ostringstream os;
-  os << "sharded{K=" << num_shards << ",T=" << exchange_interval
-     << ",inner=" << to_string(inner) << ",tps=" << threads_per_shard
-     << (per_shard_mwd.empty() ? "" : ",per-shard") << (numa_bind ? ",numa" : "")
+  os << "sharded{K=" << num_shards << ",T=" << exchange_interval;
+  if (inners.size() == 1) {
+    os << ",inner=" << exec::to_string(inners.front());
+  } else {
+    for (std::size_t i = 0; i < inners.size(); ++i) {
+      os << ",inner" << i << "=" << exec::to_string(inners[i]);
+    }
+  }
+  os << ",tps=" << threads_per_shard << (numa_bind ? ",numa" : "")
      << (overlap ? ",overlap" : "");
   if (transport != "local") os << ",transport=" << transport;
   os << "}";
@@ -56,9 +53,10 @@ class ScopedNodeBinding {
   util::ScopedAffinity guard_;  // saved before the bind above runs
 };
 
-class ShardedEngine final : public PreparableEngine {
+class ShardedEngine final : public exec::Engine {
  public:
-  explicit ShardedEngine(const ShardedParams& p) : p_(p) {
+  explicit ShardedEngine(const ShardedParams& p)
+      : p_(p), registry_(p.registry ? *p.registry : exec::EngineRegistry::global()) {
     if (p.num_shards < 1) {
       throw std::invalid_argument("ShardedParams: num_shards must be >= 1");
     }
@@ -68,24 +66,29 @@ class ShardedEngine final : public PreparableEngine {
     if (p.threads_per_shard < 1) {
       throw std::invalid_argument("ShardedParams: threads_per_shard must be >= 1");
     }
-    // Validate inner-engine parameters and the transport name here, on the
-    // caller thread: a factory throwing inside one shard thread is
-    // recoverable (run() drains the barriers) but an early error message
-    // beats a mid-run abort.  The inner_factory hook opts out of inner
-    // validation — tests use it to inject failing engines.  The registry
-    // lookup (not a construction) keeps the error message's list of
-    // registered names as the single source of truth.
+    if (p.inners.empty()) {
+      throw std::invalid_argument("ShardedParams: inners must name an engine spec");
+    }
+    // Validate the transport name and build each distinct inner spec once
+    // here, on the caller thread: a build throwing inside a shard thread is
+    // recoverable (run() rethrows it) but an early error message beats a
+    // mid-run failure.  The transport registry lookup (not a construction)
+    // keeps its error's list of registered names the single source of truth.
     require_transport(p.transport);
-    if (!p.inner_factory) {
-      const int variants = std::max<int>(1, static_cast<int>(p.per_shard_mwd.size()));
-      for (int s = 0; s < variants; ++s) (void)make_inner(s, p.threads_per_shard);
+    for (auto it = p.inners.begin(); it != p.inners.end(); ++it) {
+      if (std::find(p.inners.begin(), it, *it) != it) continue;
+      exec::BuildContext ctx;
+      ctx.threads = p.threads_per_shard;
+      (void)registry_.build(*it, ctx);
     }
   }
 
   std::string name() const override { return p_.describe(); }
   int threads() const override { return p_.threads(); }
 
-  void prepare(const grid::Extents& e) override {
+  /// Build (or rebuild, when the extents changed) the cached shard state
+  /// for grids of interior extents `e`; a no-op for unchanged extents.
+  void prepare(const grid::Extents& e) {
     if (prepared_ && prepared_->extents == e) return;
     prepared_.reset();
     auto st = std::make_unique<PreparedState>();
@@ -105,17 +108,23 @@ class ShardedEngine final : public PreparableEngine {
       st->sets[static_cast<std::size_t>(s)] =
           std::make_unique<grid::FieldSet>(st->part->shard_layout(s));
       st->ptrs[static_cast<std::size_t>(s)] = st->sets[static_cast<std::size_t>(s)].get();
-      st->inners[static_cast<std::size_t>(s)] = make_inner(s, p_.threads_per_shard);
+      // Each inner sees the grid it runs on: the shard's extended extents.
+      exec::BuildContext ctx;
+      ctx.grid = st->sets[static_cast<std::size_t>(s)]->layout().interior();
+      ctx.threads = p_.threads_per_shard;
+      const std::size_t spec =
+          std::min(static_cast<std::size_t>(s), p_.inners.size() - 1);
+      st->inners[static_cast<std::size_t>(s)] = registry_.build(p_.inners[spec], ctx);
     });
     st->halo =
         std::make_unique<HaloExchange>(*st->part, st->ptrs, make_transport(p_.transport));
 
     // Overlapped exchange: thread the per-round halo wait through each inner
-    // engine's run prologue.  Engines that honor the prologue (all stock
-    // kinds) run the handshake inside their parallel region — the MWD
+    // engine's run prologue.  Engines that honor the prologue (naive,
+    // spatial, mwd) run the handshake inside their parallel region — the MWD
     // engine gates its boundary tiles on it while workers park on the tile
-    // queue; engines that do not (wrapper/test inners) get the wait run
-    // inline by the shard thread instead (see run()).
+    // queue; engines that do not (wavefront, wrapper and test inners) get
+    // the wait run inline by the shard thread instead (see run()).
     if (p_.overlap && K > 1) {
       st->flows.resize(static_cast<std::size_t>(K));
       HaloExchange* halo = st->halo.get();
@@ -130,8 +139,6 @@ class ShardedEngine final : public PreparableEngine {
     }
     prepared_ = std::move(st);
   }
-
-  void reset_prepared() override { prepared_.reset(); }
 
   void run(grid::FieldSet& fs, int steps) override {
     const grid::Layout& L = fs.layout();
@@ -316,28 +323,7 @@ class ShardedEngine final : public PreparableEngine {
     }
   }
 
-  std::unique_ptr<exec::Engine> make_inner(int shard, int threads) const {
-    if (p_.inner_factory) return p_.inner_factory(shard, threads);
-    switch (p_.inner) {
-      case InnerKind::Naive:
-        return exec::make_naive_engine(threads);
-      case InnerKind::Spatial:
-        return exec::make_spatial_engine(threads);
-      case InnerKind::Mwd: {
-        if (!p_.per_shard_mwd.empty()) {
-          const std::size_t i =
-              std::min(static_cast<std::size_t>(shard), p_.per_shard_mwd.size() - 1);
-          return exec::make_mwd_engine(p_.per_shard_mwd[i]);
-        }
-        exec::MwdParams mp = p_.mwd.value_or(exec::MwdParams{});
-        if (!p_.mwd) mp.num_tgs = threads;  // default: 1WD, one group per thread
-        return exec::make_mwd_engine(mp);
-      }
-    }
-    return exec::make_naive_engine(threads);
-  }
-
-  /// Layout-dependent state reused across run() calls (see PreparableEngine).
+  /// Layout-dependent state reused across run() calls (see prepare()).
   struct PreparedState {
     grid::Extents extents{};
     std::unique_ptr<Partitioner> part;
@@ -350,12 +336,13 @@ class ShardedEngine final : public PreparableEngine {
   };
 
   ShardedParams p_;
+  const exec::EngineRegistry& registry_;
   std::unique_ptr<PreparedState> prepared_;
 };
 
 }  // namespace
 
-std::unique_ptr<PreparableEngine> make_sharded_engine(const ShardedParams& params) {
+std::unique_ptr<exec::Engine> make_sharded_engine(const ShardedParams& params) {
   return std::make_unique<ShardedEngine>(params);
 }
 

@@ -2,39 +2,30 @@
 //
 // The global grid is split by a Partitioner into K shards (plus overlap
 // ghost planes), each allocated as its own FieldSet with first-touch on its
-// assigned NUMA node and advanced by its own inner Engine — any of the
-// existing variants (naive / spatial / MWD) works unmodified because the
-// overlap-zone scheme (see partition.hpp) only requires the inner engine to
-// be exact on its extended sub-domain.  Every `exchange_interval` steps all
-// shards synchronize and pull fresh ghost planes from their neighbors.
+// assigned NUMA node and advanced by its own inner Engine, built from an
+// engine spec through the registry — any registered kind works unmodified
+// because the overlap-zone scheme (see partition.hpp) only requires the
+// inner engine to be exact on its extended sub-domain.  Every
+// `exchange_interval` steps all shards synchronize and pull fresh ghost
+// planes from their neighbors.
 //
 // Results are bit-identical to the same inner engine on the undecomposed
 // grid; the gain is multi-socket memory locality and, for thin or very
 // deep domains, independent per-shard tiling.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "exec/engine.hpp"
-#include "grid/layout.hpp"
+#include "exec/engine_registry.hpp"
 
 namespace emwd::dist {
-
-/// Which engine advances each shard's sub-domain.  (String mapping lives in
-/// the engine-spec parser — see exec::parse_engine_spec and the "sharded"
-/// builder in src/tune/engine_builders.cpp.)
-enum class InnerKind { Naive, Spatial, Mwd };
-
-std::string to_string(InnerKind kind);
 
 struct ShardedParams {
   int num_shards = 2;        // requested K; clamped so every shard owns >= overlap planes
   int exchange_interval = 1; // steps between halo exchanges == overlap depth
-  InnerKind inner = InnerKind::Naive;
   int threads_per_shard = 1;
   bool numa_bind = true;     // pin shard teams to NUMA nodes (no-op on 1 node)
   /// Overlapped exchange: replace the two full-stop barriers of each
@@ -46,17 +37,18 @@ struct ShardedParams {
   /// stay bit-identical: only the ordering of independent work changes.
   /// No effect with a single (clamped) shard.
   bool overlap = false;
-  std::optional<exec::MwdParams> mwd;  // explicit inner-MWD parameters
-  /// Per-shard inner-MWD parameters (InnerKind::Mwd only): shard s uses
-  /// per_shard_mwd[s], letting uneven shards (PML-heavy boundary blocks,
-  /// remainder planes) each run their own tuned tiling.  When the engine
-  /// clamps the shard count below per_shard_mwd.size(), shard s falls back
-  /// to entry min(s, size-1); an empty vector defers to `mwd`.
-  std::vector<exec::MwdParams> per_shard_mwd;
-  /// Test/instrumentation hook: when set, shard `s` is advanced by
-  /// inner_factory(s, threads_per_shard) instead of the built-in kinds and
-  /// no inner parameter pre-validation happens on the caller thread.
-  std::function<std::unique_ptr<exec::Engine>(int shard, int threads)> inner_factory;
+  /// Inner engine specs.  One entry runs on every shard; with several,
+  /// shard s runs inners[min(s, size-1)], so uneven shards (PML-heavy
+  /// boundary blocks, remainder planes) can each run their own tuned
+  /// tiling — or a different kind altogether.  Each shard builds its inner
+  /// with its extended extents and `threads_per_shard` as the BuildContext.
+  std::vector<exec::EngineSpec> inners{exec::EngineSpec{"naive", {}}};
+  /// Registry the inners are built from; null means
+  /// exec::EngineRegistry::global().  The "sharded" builder passes the
+  /// registry it was invoked on, so locally registered kinds can be inners.
+  /// It must outlive the engine: shard threads build the inners at the
+  /// first run on each grid shape.
+  const exec::EngineRegistry* registry = nullptr;
   /// Halo transport by registry name (see dist/transport.hpp); "local" is
   /// the shared-memory plane memcpy.  Selected through the engine-spec
   /// grammar as `sharded(...,transport=local)`.
@@ -66,24 +58,16 @@ struct ShardedParams {
   std::string describe() const;
 };
 
-/// Engine with a separable preparation phase.  prepare() builds everything
-/// that depends only on the grid layout — the partition, one NUMA-first-touch
-/// FieldSet per shard, the halo exchanger and the inner engines — and keeps
-/// it cached; run() reuses the cached state whenever the incoming FieldSet
-/// has the same interior extents, paying only the scatter/step/gather cost.
-/// That makes back-to-back timed runs (auto-tuner refinement, benches) cheap:
-/// the 40-array shard allocations happen once, not once per repetition.
-/// run() prepares on demand, so calling prepare() explicitly is optional.
-class PreparableEngine : public exec::Engine {
- public:
-  /// Build (or rebuild, when extents changed) the cached shard state for
-  /// grids of interior extents `e`.  Idempotent for unchanged extents.
-  virtual void prepare(const grid::Extents& e) = 0;
-  /// Drop the cached shard state (frees the shard FieldSets).
-  virtual void reset_prepared() = 0;
-};
-
 /// Engine-interface wrapper; usable anywhere the other engines are.
+/// The first run() builds everything that depends only on the grid layout
+/// — the partition, one NUMA-first-touch FieldSet per shard, the halo
+/// exchanger and the inner engines — and keeps it; later runs on grids of
+/// the same interior extents reuse it and pay only the scatter/step/gather
+/// cost (other extents rebuild it).  So back-to-back timed runs (tuner
+/// refinement, benches) allocate once: a zero-step run() before the timed
+/// region moves the allocation out of it.
+/// The constructor builds each distinct inner spec once on the caller
+/// thread, so a malformed inner fails there rather than mid-run.
 /// stats() after run(): `lups` counts updates actually performed (including
 /// redundant ghost-plane updates), while `mlups` is useful throughput —
 /// global interior cells * steps / wall seconds.  `shards`,
@@ -92,6 +76,6 @@ class PreparableEngine : public exec::Engine {
 /// barrier schedule and finish the run as a no-op; the first exception is
 /// rethrown on the caller after every shard thread has joined (the global
 /// FieldSet's field values are unspecified in that case).
-std::unique_ptr<PreparableEngine> make_sharded_engine(const ShardedParams& params);
+std::unique_ptr<exec::Engine> make_sharded_engine(const ShardedParams& params);
 
 }  // namespace emwd::dist

@@ -77,31 +77,40 @@ void check_spec_keys(const EngineSpec& spec, const char* const* allowed,
   }
 }
 
-}  // namespace detail
-
-namespace {
+long spec_count(const EngineSpec& spec, const std::string& key, long fallback) {
+  const long value = spec.get_int(key, fallback);
+  if (spec.has(key) && value < 1) {
+    throw std::invalid_argument("engine spec: '" + key + "' must be >= 1 in " +
+                                to_string(spec));
+  }
+  return value;
+}
 
 int spec_threads(const EngineSpec& spec, const BuildContext& ctx) {
   return static_cast<int>(
-      spec.get_int("threads", static_cast<long>(ctx.resolved_threads())));
+      spec_count(spec, "threads", static_cast<long>(ctx.resolved_threads())));
 }
+
+}  // namespace detail
+
+namespace {
 
 void register_builtin_builders(EngineRegistry& reg) {
   reg.register_builder("naive", [](const EngineSpec& spec, const BuildContext& ctx) {
     static const char* const keys[] = {"threads", nullptr};
     detail::check_spec_keys(spec, keys);
-    return make_naive_engine(spec_threads(spec, ctx));
+    return make_naive_engine(detail::spec_threads(spec, ctx));
   });
 
   reg.register_builder("spatial", [](const EngineSpec& spec, const BuildContext& ctx) {
     static const char* const keys[] = {"threads", "by", nullptr};
     detail::check_spec_keys(spec, keys);
-    return make_spatial_engine(spec_threads(spec, ctx),
+    return make_spatial_engine(detail::spec_threads(spec, ctx),
                                static_cast<int>(spec.get_int("by", 0)));
   });
 
   reg.register_builder("mwd", [](const EngineSpec& spec, const BuildContext& ctx) {
-    return make_mwd_engine(mwd_params_from_spec(spec, spec_threads(spec, ctx)));
+    return make_mwd_engine(mwd_params_from_spec(spec, detail::spec_threads(spec, ctx)));
   });
 
   reg.register_builder("wavefront", [](const EngineSpec& spec, const BuildContext& ctx) {

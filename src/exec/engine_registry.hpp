@@ -84,6 +84,16 @@ void register_extended_builders(EngineRegistry& registry);
 /// instead of being ignored.  Keys accepted by `extra` (may be null) pass.
 void check_spec_keys(const EngineSpec& spec, const char* const* allowed,
                      bool (*extra)(const std::string&) = nullptr);
+
+/// Integer value of the count `key` (threads, shards, ...), or `fallback`
+/// when absent.  A present value below 1 throws std::invalid_argument: a
+/// count of zero or less never silently runs a default, and never reaches
+/// an engine that would divide by it.
+long spec_count(const EngineSpec& spec, const std::string& key, long fallback);
+
+/// The thread budget a builder runs with: the spec's own `threads=` (a
+/// count, see spec_count), else ctx.resolved_threads().
+int spec_threads(const EngineSpec& spec, const BuildContext& ctx);
 }  // namespace detail
 
 }  // namespace emwd::exec

@@ -285,16 +285,16 @@ MwdParams mwd_params_from_spec(const EngineSpec& spec, int default_threads) {
   p.tx = static_cast<int>(spec.get_int("tx", p.tx));
   p.tz = static_cast<int>(spec.get_int("tz", p.tz));
   p.tc = static_cast<int>(spec.get_int("tc", p.tc));
+  const int threads =
+      static_cast<int>(spec.get_int("threads", std::max(1, default_threads)));
   // Positivity up front: the engine validates too, but the `groups` fallback
-  // below divides by tg_size(), and a spec must throw — never trap — on
-  // nonsense like tc=0.
-  if (p.dw < 1 || p.bz < 1 || p.tx < 1 || p.tz < 1 || p.tc < 1) {
+  // below divides by tg_size(), and a spec must throw — never trap or
+  // silently run one group — on nonsense like tc=0 or threads=0.
+  if (p.dw < 1 || p.bz < 1 || p.tx < 1 || p.tz < 1 || p.tc < 1 || threads < 1) {
     throw std::invalid_argument("engine spec: mwd parameters must be >= 1 in " +
                                 to_string(spec));
   }
   if (spec.flag("static")) p.schedule = TileSchedule::StaticWave;
-  const int threads =
-      static_cast<int>(spec.get_int("threads", std::max(1, default_threads)));
   // `groups` omitted: spend the whole thread budget, one group per tg_size
   // threads — the paper's 1WD-style default (a bare `mwd` with T threads is
   // T concurrent single-thread groups).

@@ -60,7 +60,7 @@ struct SimulationConfig {
 /// they must outlive the Simulation.
 ///   engine: used as-is (cfg's engine selection is ignored).  The caller
 ///           guarantees it was built for cfg.grid; engines keep per-shape
-///           prepared state (MWD tiling cache, sharded PreparableEngine
+///           prepared state (MWD tiling cache, the sharded engine's shard
 ///           FieldSets), which is exactly what pooling amortizes.
 ///   fields: layout interior must equal cfg.grid (else std::invalid_argument).
 ///           The set is clear_all()-ed on borrow, so results are bit-exact

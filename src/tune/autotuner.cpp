@@ -227,11 +227,15 @@ ShardedTuneResult autotune_sharded(const ShardedTuneConfig& cfg) {
 
 double time_sharded_plan(const ShardPlan& plan, grid::FieldSet& fs,
                          const ShardedTuneConfig& cfg) {
-  auto engine = dist::make_sharded_engine(to_sharded_params(plan, cfg.numa_bind));
-  // prepare() allocates the shard FieldSets outside the timed region; the
-  // warmup run scatters once and faults every page in.
-  engine->prepare(cfg.grid);
-  if (cfg.warmup_steps > 0) engine->run(fs, cfg.warmup_steps);
+  exec::EngineSpec spec = plan.to_spec();
+  if (!cfg.numa_bind) spec.add("numa", 0L);
+  exec::BuildContext ctx;
+  ctx.grid = cfg.grid;
+  ctx.threads = cfg.threads;
+  auto engine = exec::EngineRegistry::global().build(spec, ctx);
+  // The first run allocates the shard FieldSets and faults every page in;
+  // it stays outside the timed region even without warmup steps.
+  engine->run(fs, std::max(0, cfg.warmup_steps));
   double best_seconds = std::numeric_limits<double>::infinity();
   for (int r = 0; r < std::max(1, cfg.repeats); ++r) {
     fs.clear_fields();
@@ -239,19 +243,6 @@ double time_sharded_plan(const ShardPlan& plan, grid::FieldSet& fs,
     best_seconds = std::min(best_seconds, engine->stats().seconds);
   }
   return best_seconds;
-}
-
-dist::ShardedParams to_sharded_params(const ShardPlan& plan, bool numa_bind) {
-  dist::ShardedParams p;
-  p.num_shards = std::max(1, plan.num_shards);
-  p.exchange_interval = std::max(1, plan.exchange_interval);
-  p.overlap = plan.overlap;
-  p.inner = dist::InnerKind::Mwd;
-  p.threads_per_shard = plan.per_shard.empty() ? 1 : plan.per_shard.front().threads();
-  p.per_shard_mwd = plan.per_shard;
-  p.numa_bind = numa_bind;
-  p.transport = plan.transport;
-  return p;
 }
 
 util::Table ShardedTuneResult::to_table() const {
@@ -275,37 +266,5 @@ util::Table ShardedTuneResult::to_table() const {
 }
 
 std::string ShardedTuneResult::to_csv() const { return to_table().to_csv(); }
-
-ShardChoice choose_shard_count(const TuneConfig& cfg) {
-  ShardedTuneConfig scfg;
-  scfg.threads = cfg.threads;
-  scfg.grid = cfg.grid;
-  scfg.machine = cfg.machine;
-  scfg.limits = cfg.limits;
-  scfg.timed_refinement = false;
-  const ShardedTuneResult r = autotune_sharded(scfg);
-
-  ShardChoice best;
-  best.num_shards = r.best.plan.num_shards;
-  best.exchange_interval = r.best.plan.exchange_interval;
-  best.predicted_mlups = r.best.predicted_mlups;
-  // Representative inner candidate: the bottleneck (slowest-step) shard.
-  const dist::Partitioner part(cfg.grid, best.num_shards,
-                               best.num_shards > 1 ? best.exchange_interval : 1);
-  std::size_t bottleneck = 0;
-  double worst = -1.0;
-  for (std::size_t s = 0; s < r.best.per_shard.size(); ++s) {
-    const double mlups = std::max(1e-9, r.best.per_shard[s].predicted_mlups);
-    const double cells = static_cast<double>(cfg.grid.nx) * cfg.grid.ny *
-                         part.shard(static_cast<int>(s)).ext_nz();
-    const double step_seconds = cells / (mlups * 1e6);
-    if (step_seconds > worst) {
-      worst = step_seconds;
-      bottleneck = s;
-    }
-  }
-  if (!r.best.per_shard.empty()) best.inner = r.best.per_shard[bottleneck];
-  return best;
-}
 
 }  // namespace emwd::tune

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/sharded_engine.hpp"
 #include "exec/engine.hpp"
 #include "exec/engine_registry.hpp"
 #include "models/machine.hpp"
@@ -70,23 +69,6 @@ bool candidate_better(const Candidate& a, const Candidate& b);
 /// fits in memory.
 TuneResult autotune(const TuneConfig& cfg);
 
-/// Result of extending the search space over z-shard counts (the
-/// ShardedEngine's domain decomposition).
-struct ShardChoice {
-  int num_shards = 1;
-  int exchange_interval = 1;
-  Candidate inner;               // bottleneck shard's MWD candidate
-  double predicted_mlups = 0.0;  // aggregate across shards, halo-penalized
-};
-
-/// For every feasible (shard count, exchange interval) pair, tune MWD per
-/// shard sub-grid with the per-shard thread budget and score the aggregate
-/// MLUP/s with the redundant-LUP + halo-traffic penalty; returns the best.
-/// Model-stage only (no timed refinement of the sharded runs).  The choice
-/// is always feasible: the exchange interval (== overlap depth) never
-/// exceeds any shard's owned z-extent.
-ShardChoice choose_shard_count(const TuneConfig& cfg);
-
 // ------------------------------------------------------ sharded two-stage
 
 /// One point of the sharded search space: the full per-shard plan plus its
@@ -124,8 +106,8 @@ struct ShardedTuneConfig {
   /// transport shifts the search toward fewer shards / deeper intervals.
   std::string transport = "local";
   /// Stage 2: run the top-K stage-1 plans on the real ShardedEngine.  Each
-  /// plan gets `warmup_steps` untimed steps (also triggers the engine's
-  /// prepare() allocation outside the timed region) and `repeats` timed runs
+  /// plan gets `warmup_steps` untimed steps (its first run also allocates
+  /// the shard state, outside the timed region) and `repeats` timed runs
   /// of `refine_steps`; the best repeat is the plan's time.  Requires a
   /// FieldSet-sized allocation of `grid` plus one per shard.
   bool timed_refinement = true;
@@ -160,16 +142,15 @@ ShardedCandidate score_sharded_candidate(int num_shards, int exchange_interval,
 ShardedTuneResult autotune_sharded(const ShardedTuneConfig& cfg);
 
 /// Stage-2 measurement unit, shared with the benches so chosen-vs-exhaustive
-/// comparisons use one methodology: build the plan's engine, prepare() it
-/// for cfg.grid, run cfg.warmup_steps untimed, then max(1, cfg.repeats)
+/// comparisons use one methodology: build plan.to_spec() through the
+/// registry for cfg.grid (with `numa=0` unless cfg.numa_bind), run
+/// cfg.warmup_steps untimed (at least a zero-step run, so the shard
+/// allocation stays outside the timed region), then max(1, cfg.repeats)
 /// timed runs of cfg.refine_steps on zeroed fields of `fs`; returns the
 /// best repeat's wall seconds.  `fs` must have extents cfg.grid; its field
 /// values are clobbered.
 double time_sharded_plan(const ShardPlan& plan, grid::FieldSet& fs,
                          const ShardedTuneConfig& cfg);
-
-/// Engine parameters executing `plan` (per-shard MWD inners).
-dist::ShardedParams to_sharded_params(const ShardPlan& plan, bool numa_bind = true);
 
 // ------------------------------------------------------- plan-cache seam
 

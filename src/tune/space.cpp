@@ -110,9 +110,8 @@ exec::EngineSpec ShardPlan::to_spec() const {
   if (overlap) s.add_flag("overlap");
   if (transport != "local") s.add("transport", transport);
   if (!per_shard.empty()) {
-    // tps pins the plan's thread budget so the registry reproduces
-    // to_sharded_params() exactly instead of re-deriving it from the
-    // context's budget.
+    // tps pins the plan's thread budget so the registry builds the plan
+    // exactly instead of re-deriving the budget from the context's.
     s.add("tps", static_cast<long>(per_shard.front().threads()));
     const bool uniform =
         std::all_of(per_shard.begin(), per_shard.end(),

@@ -80,9 +80,9 @@ struct ShardPlan {
   /// The engine spec executing this plan:
   /// `sharded(shards=..,interval=..[,overlap],tps=..,inner=mwd(...))` —
   /// per-shard tilings serialize as `inner0=..,inner1=..` when they differ.
-  /// Round-trips through the registry: building the spec reproduces
-  /// to_sharded_params(*this) bit-exactly, and tuner CSVs serialize plans
-  /// as these strings so a plan can be replayed with `--engine`.
+  /// Building the spec through the registry is how a plan runs — stage-2
+  /// timing included — and tuner CSVs serialize plans as these strings so
+  /// a plan can be replayed with `--engine`.
   exec::EngineSpec to_spec() const;
 };
 

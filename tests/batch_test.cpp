@@ -960,6 +960,31 @@ TEST(SchedulerRetry, PermanentErrorsAreNotRetried) {
   EXPECT_EQ(scheduler.stats().retries, 0u);
 }
 
+TEST(SchedulerRetry, ZeroThreadSpecFailsPermanentlyAndTheNextJobRuns) {
+  // A thread count below 1 is a malformed request: refused when the engine
+  // is built, never a division by zero inside the engine's run.
+  batch::Scheduler scheduler(batch::SchedulerConfig{.concurrency = 1,
+                                                    .pin_slots = false});
+  batch::Job bad;
+  bad.config = scene_config(14.0, "spatial(threads=0)");
+  bad.setup = paint_scene;
+  bad.retry.max_attempts = 3;
+  scheduler.submit(std::move(bad));
+  batch::Job good;
+  good.config = scene_config(14.0, "spatial");
+  good.steps = 2;
+  good.setup = paint_scene;
+  scheduler.submit(std::move(good));
+  const auto results = scheduler.wait_all();
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_EQ(results[0].error_class, "permanent");
+  EXPECT_EQ(results[0].attempts, 1);
+  EXPECT_NE(results[0].error.find("threads"), std::string::npos) << results[0].error;
+  EXPECT_TRUE(results[1].ok) << results[1].error;
+  EXPECT_EQ(scheduler.stats().failed, 1u);
+  EXPECT_EQ(scheduler.stats().completed, 1u);
+}
+
 TEST(SchedulerRetry, ExhaustedAttemptsReportTheLastError) {
   // every:1*3 fires on all three attempts: the job fails for good.
   ArmedFaults armed("engine.step=every:1*3");

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "dist/halo.hpp"
 #include "dist/numa.hpp"
@@ -16,6 +19,8 @@
 #include "dist/shm_transport.hpp"
 #include "dist/transport.hpp"
 #include "em/coefficients.hpp"
+#include "exec/engine_registry.hpp"
+#include "exec/engine_spec.hpp"
 #include "grid/fieldset.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/update.hpp"
@@ -198,7 +203,7 @@ TEST_F(ShardedEquivalence, NaiveInnerMatchesBitForBit) {
   for (int k : {1, 2, 3}) {
     dist::ShardedParams p;
     p.num_shards = k;
-    p.inner = dist::InnerKind::Naive;
+    p.inners = {exec::parse_engine_spec("naive")};
     EXPECT_EQ(run_diff(p, {6, 7, 13}, 4, grid::XBoundary::Dirichlet, 31), 0.0)
         << "K=" << k;
     EXPECT_EQ(last_stats_.shards, k);
@@ -209,7 +214,6 @@ TEST_F(ShardedEquivalence, PeriodicXMatchesBitForBit) {
   for (int k : {2, 3}) {
     dist::ShardedParams p;
     p.num_shards = k;
-    p.inner = dist::InnerKind::Naive;
     EXPECT_EQ(run_diff(p, {6, 7, 13}, 4, grid::XBoundary::Periodic, 33), 0.0)
         << "K=" << k;
   }
@@ -220,7 +224,6 @@ TEST_F(ShardedEquivalence, DeepOverlapExchangeIntervalMatches) {
     dist::ShardedParams p;
     p.num_shards = 2;
     p.exchange_interval = interval;
-    p.inner = dist::InnerKind::Naive;
     // 7 steps: exercises a partial final round as well.
     EXPECT_EQ(run_diff(p, {5, 6, 14}, 7, grid::XBoundary::Dirichlet, 35), 0.0)
         << "interval=" << interval;
@@ -231,16 +234,11 @@ TEST_F(ShardedEquivalence, SpatialAndMwdInnersMatch) {
   dist::ShardedParams p;
   p.num_shards = 2;
   p.threads_per_shard = 2;
-  p.inner = dist::InnerKind::Spatial;
+  p.inners = {exec::parse_engine_spec("spatial")};
   EXPECT_EQ(run_diff(p, {6, 8, 12}, 3, grid::XBoundary::Dirichlet, 41), 0.0);
 
-  p.inner = dist::InnerKind::Mwd;
+  p.inners = {exec::parse_engine_spec("mwd(dw=4,groups=2)")};
   p.exchange_interval = 2;  // let the diamonds block two steps in time
-  exec::MwdParams mwd;
-  mwd.dw = 4;
-  mwd.num_tgs = 2;
-  p.mwd = mwd;
-  p.threads_per_shard = 2;
   EXPECT_EQ(run_diff(p, {6, 8, 12}, 4, grid::XBoundary::Dirichlet, 43), 0.0);
 }
 
@@ -248,7 +246,6 @@ TEST_F(ShardedEquivalence, ClampsShardCountOnTinyGrids) {
   dist::ShardedParams p;
   p.num_shards = 64;  // far more shards than planes
   p.exchange_interval = 2;
-  p.inner = dist::InnerKind::Naive;
   EXPECT_EQ(run_diff(p, {5, 5, 6}, 3, grid::XBoundary::Dirichlet, 47), 0.0);
   EXPECT_LE(last_stats_.shards, 3);
   EXPECT_GE(last_stats_.shards, 1);
@@ -258,15 +255,11 @@ TEST_F(ShardedEquivalence, PerShardMwdParamsMatchBitForBit) {
   dist::ShardedParams p;
   p.num_shards = 2;
   p.exchange_interval = 2;
-  p.inner = dist::InnerKind::Mwd;
   p.threads_per_shard = 2;
-  exec::MwdParams a;  // shard 0: two thread groups of one
-  a.dw = 4;
-  a.num_tgs = 2;
-  exec::MwdParams b = a;  // shard 1: one group of two across components
-  b.num_tgs = 1;
-  b.tc = 2;
-  p.per_shard_mwd = {a, b};
+  p.inners = {
+      exec::parse_engine_spec("mwd(dw=4,groups=2)"),       // two groups of one
+      exec::parse_engine_spec("mwd(dw=4,tc=2,groups=1)"),  // one group of two
+  };
   EXPECT_EQ(run_diff(p, {6, 8, 12}, 4, grid::XBoundary::Dirichlet, 51), 0.0);
 }
 
@@ -276,24 +269,30 @@ TEST_F(ShardedEquivalence, OverlappedExchangeMatchesBitForBitAllInners) {
   // The overlapped post/wait protocol only reorders independent work, so
   // every inner kind must stay bit-identical to the serial reference —
   // including deep intervals and a partial final round (7 steps, T=3).
-  for (dist::InnerKind inner :
-       {dist::InnerKind::Naive, dist::InnerKind::Spatial, dist::InnerKind::Mwd}) {
+  // The wavefront inner never runs the halo prologue (the shard thread
+  // waits inline), and the mixed set gives each shard a different kind.
+  const std::vector<std::vector<std::string>> inner_sets = {
+      {"naive"},
+      {"spatial"},
+      {"spatial(by=2)"},
+      {"mwd(dw=4,groups=2)"},
+      {"wavefront(bz=2)"},
+      {"wavefront(bz=2)", "spatial(by=3)", "mwd(dw=4,groups=2)"},
+  };
+  for (const std::vector<std::string>& inners : inner_sets) {
     for (int k : {2, 3}) {
       for (int interval : {1, 3}) {
         dist::ShardedParams p;
         p.num_shards = k;
         p.exchange_interval = interval;
-        p.inner = inner;
-        p.overlap = true;
-        if (inner == dist::InnerKind::Mwd) {
-          exec::MwdParams mwd;
-          mwd.dw = 4;
-          mwd.num_tgs = 2;
-          p.mwd = mwd;
-          p.threads_per_shard = 2;
+        p.threads_per_shard = 2;
+        p.inners.clear();
+        for (const std::string& inner : inners) {
+          p.inners.push_back(exec::parse_engine_spec(inner));
         }
+        p.overlap = true;
         EXPECT_EQ(run_diff(p, {5, 8, 14}, 7, grid::XBoundary::Dirichlet, 53), 0.0)
-            << "inner=" << dist::to_string(inner) << " K=" << k << " T=" << interval;
+            << p.describe();
         EXPECT_TRUE(last_stats_.halo_overlapped);
         EXPECT_GE(last_stats_.halo_wait_seconds, 0.0);
         EXPECT_GE(last_stats_.halo_hidden_seconds, 0.0);
@@ -308,7 +307,6 @@ TEST_F(ShardedEquivalence, OverlappedPeriodicXMatchesBitForBit) {
   dist::ShardedParams p;
   p.num_shards = 3;
   p.exchange_interval = 2;
-  p.inner = dist::InnerKind::Naive;
   p.overlap = true;
   EXPECT_EQ(run_diff(p, {6, 7, 13}, 5, grid::XBoundary::Periodic, 57), 0.0);
 }
@@ -317,7 +315,6 @@ TEST_F(ShardedEquivalence, OverlapIsANoOpOnASingleShard) {
   dist::ShardedParams p;
   p.num_shards = 1;
   p.overlap = true;
-  p.inner = dist::InnerKind::Naive;
   EXPECT_EQ(run_diff(p, {5, 5, 8}, 3, grid::XBoundary::Dirichlet, 59), 0.0);
   EXPECT_FALSE(last_stats_.halo_overlapped);  // collapses to the barrier path
 }
@@ -328,7 +325,6 @@ TEST(ShardedOverlap, BarrierModeReportsWaitButNoOverlapFlag) {
   em::build_random_stable(fs, 61);
   dist::ShardedParams p;
   p.num_shards = 2;
-  p.inner = dist::InnerKind::Naive;
   p.overlap = false;
   auto engine = dist::make_sharded_engine(p);
   engine->run(fs, 6);
@@ -454,7 +450,6 @@ TEST_F(ShardedEquivalence, RegisteredTransportDrivesBothExchangeModes) {
     dist::ShardedParams p;
     p.num_shards = 3;
     p.exchange_interval = 2;
-    p.inner = dist::InnerKind::Naive;
     p.overlap = overlap;
     p.transport = "counting";
     EXPECT_EQ(run_diff(p, {5, 6, 13}, 7, grid::XBoundary::Dirichlet, 83), 0.0)
@@ -520,7 +515,6 @@ TEST_P(TransportConformance, BitExactInBothModesWithStagedAccounting) {
       dist::ShardedParams p;
       p.num_shards = 3;
       p.exchange_interval = interval;
-      p.inner = dist::InnerKind::Naive;
       p.overlap = overlap;
       p.transport = name;
       EXPECT_EQ(run_diff(p, {5, 6, 14}, 7, grid::XBoundary::Dirichlet, 89), 0.0)
@@ -618,14 +612,26 @@ TEST(ShmTransportFuzz, CorruptedSlotHeadersSurfaceAsErrorsNeverUB) {
 // ------------------------------------------------- prepared-state reuse
 
 TEST(ShardedPrepare, RepeatedRunsReuseShardStateAndStayExact) {
+  // Inner builds are counted: the shard state (FieldSets, halo, inners) is
+  // built by the first run, reused while the extents stay, and rebuilt —
+  // transparently — for new extents.
+  std::atomic<int> builds{0};
+  exec::EngineRegistry reg;
+  reg.register_builder("counted_naive", [&builds](const exec::EngineSpec&,
+                                                  const exec::BuildContext& ctx) {
+    ++builds;
+    return exec::make_naive_engine(ctx.resolved_threads());
+  });
   for (bool overlap : {false, true}) {
     const Layout layout({5, 6, 12});
     dist::ShardedParams p;
     p.num_shards = 2;
-    p.inner = dist::InnerKind::Naive;
+    p.inners = {exec::parse_engine_spec("counted_naive")};
+    p.registry = &reg;
     p.overlap = overlap;  // flow counters must reset across reused runs
+    builds = 0;
     auto engine = dist::make_sharded_engine(p);
-    engine->prepare(layout.interior());  // explicit, ahead of the first run
+    EXPECT_EQ(builds.load(), 1);  // the constructor's validation build
 
     for (int rep = 0; rep < 3; ++rep) {
       FieldSet reference(layout);
@@ -636,9 +642,10 @@ TEST(ShardedPrepare, RepeatedRunsReuseShardStateAndStayExact) {
       engine->run(fs, 3);
       EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0)
           << "overlap=" << overlap << " rep " << rep;
+      EXPECT_EQ(builds.load(), 1 + 2) << "overlap=" << overlap << " rep " << rep;
     }
 
-    // A different grid forces a transparent re-prepare.
+    // A different grid forces a transparent rebuild.
     const Layout other({4, 5, 9});
     FieldSet reference(other);
     em::build_random_stable(reference, 67);
@@ -647,7 +654,7 @@ TEST(ShardedPrepare, RepeatedRunsReuseShardStateAndStayExact) {
     kernels::reference_step(reference, 2);
     engine->run(fs, 2);
     EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << "overlap=" << overlap;
-    engine->reset_prepared();  // dropping the cache is always safe
+    EXPECT_EQ(builds.load(), 1 + 2 + 2) << "overlap=" << overlap;
   }
 }
 
@@ -655,17 +662,21 @@ TEST(ShardedPrepare, RepeatedRunsReuseShardStateAndStayExact) {
 
 namespace failure {
 
-/// Inner engine that throws after `good_chunks` successful chunk runs.
+/// Inner engine that throws after `good_chunks` successful chunk runs, for
+/// as long as `armed` (shared, may be null = always) stays positive; each
+/// throw spends one.
 class FlakyEngine final : public exec::Engine {
  public:
-  FlakyEngine(int threads, int good_chunks)
-      : threads_(threads), good_chunks_(good_chunks),
+  FlakyEngine(int threads, int good_chunks, std::atomic<int>* armed)
+      : threads_(threads), good_chunks_(good_chunks), armed_(armed),
         real_(exec::make_naive_engine(threads)) {}
 
   std::string name() const override { return "flaky"; }
   int threads() const override { return threads_; }
   void run(grid::FieldSet& fs, int steps) override {
-    if (runs_++ >= good_chunks_) throw std::runtime_error("injected shard failure");
+    if (runs_++ >= good_chunks_ && (armed_ == nullptr || armed_->fetch_sub(1) > 0)) {
+      throw std::runtime_error("injected shard failure");
+    }
     real_->run(fs, steps);
     stats_ = real_->stats();
   }
@@ -673,9 +684,24 @@ class FlakyEngine final : public exec::Engine {
  private:
   int threads_;
   int good_chunks_;
+  std::atomic<int>* armed_;
   int runs_ = 0;
   std::unique_ptr<exec::Engine> real_;
 };
+
+/// A registry holding "naive" and "flaky(good=N)": the kinds the failure
+/// tests compose per-shard inner sets from.
+void register_flaky(exec::EngineRegistry& reg, std::atomic<int>* armed = nullptr) {
+  reg.register_builder("naive",
+                       [](const exec::EngineSpec&, const exec::BuildContext& ctx) {
+                         return exec::make_naive_engine(ctx.resolved_threads());
+                       });
+  reg.register_builder("flaky", [armed](const exec::EngineSpec& spec,
+                                        const exec::BuildContext& ctx) {
+    const int good = static_cast<int>(spec.get_int("good", 0));
+    return std::make_unique<FlakyEngine>(ctx.resolved_threads(), good, armed);
+  });
+}
 
 }  // namespace failure
 
@@ -687,17 +713,18 @@ TEST(ShardedFailure, ThrowingInnerEngineCannotDeadlockOtherShards) {
   // SpinBarrier (barrier mode) or on a post/wait round counter (overlap
   // mode; the FlakyEngine also never runs the installed prologue, which
   // exercises the inline-wait fallback and the drain redo).
+  exec::EngineRegistry reg;
+  failure::register_flaky(reg);
   for (bool overlap : {false, true}) {
     for (int good_chunks : {0, 1}) {
       dist::ShardedParams p;
       p.num_shards = 3;
       p.exchange_interval = 1;
       p.overlap = overlap;
-      p.inner_factory = [good_chunks](int shard,
-                                      int threads) -> std::unique_ptr<exec::Engine> {
-        if (shard == 1) return std::make_unique<failure::FlakyEngine>(threads, good_chunks);
-        return exec::make_naive_engine(threads);
-      };
+      const std::string flaky = "flaky(good=" + std::to_string(good_chunks) + ")";
+      p.inners = {exec::parse_engine_spec("naive"), exec::parse_engine_spec(flaky),
+                  exec::parse_engine_spec("naive")};
+      p.registry = &reg;
       const Layout layout({5, 5, 12});
       FieldSet fs(layout);
       em::build_random_stable(fs, 71);
@@ -709,28 +736,23 @@ TEST(ShardedFailure, ThrowingInnerEngineCannotDeadlockOtherShards) {
 }
 
 TEST(ShardedFailure, OverlappedRunRecoversAfterAFailedRun) {
-  // After a failed overlapped run, the same prepared engine must run
-  // cleanly again (flow counters reset per run) and stay bit-exact.
-  int failures_armed = 1;
+  // After a failed overlapped run, the same prepared engine — the same
+  // shard state and inners, the flaky one now disarmed — must run cleanly
+  // again (flow counters reset per run) and stay bit-exact.
+  std::atomic<int> armed{1};
+  exec::EngineRegistry reg;
+  failure::register_flaky(reg, &armed);
   dist::ShardedParams p;
   p.num_shards = 2;
   p.overlap = true;
-  p.inner_factory = [&failures_armed](int shard,
-                                      int threads) -> std::unique_ptr<exec::Engine> {
-    if (shard == 1 && failures_armed > 0) {
-      --failures_armed;
-      return std::make_unique<failure::FlakyEngine>(threads, 1);
-    }
-    return exec::make_naive_engine(threads);
-  };
+  p.inners = {exec::parse_engine_spec("naive"), exec::parse_engine_spec("flaky(good=1)")};
+  p.registry = &reg;
   const Layout layout({5, 5, 12});
   FieldSet fs(layout);
   em::build_random_stable(fs, 73);
   auto engine = dist::make_sharded_engine(p);
   EXPECT_THROW(engine->run(fs, 4), std::runtime_error);
 
-  // Rebuild the inners without the flaky shard and rerun on fresh fields.
-  engine->reset_prepared();
   FieldSet reference(layout);
   em::build_random_stable(reference, 79);
   FieldSet fs2(layout);
@@ -740,15 +762,28 @@ TEST(ShardedFailure, OverlappedRunRecoversAfterAFailedRun) {
   EXPECT_EQ(FieldSet::max_field_diff(fs2, reference), 0.0);
 }
 
-TEST(ShardedFailure, ThrowingInnerFactoryPropagatesFromPrepare) {
+TEST(ShardedFailure, ThrowingInnerBuilderPropagatesFromRun) {
+  // The builder succeeds on the caller thread (the constructor's
+  // validation build, and shard 0, which ThreadTeam runs there) and throws
+  // inside every other shard thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  exec::EngineRegistry reg;
+  reg.register_builder("fails_off_caller", [caller](const exec::EngineSpec&,
+                                                    const exec::BuildContext& ctx) {
+    if (std::this_thread::get_id() != caller) {
+      throw std::runtime_error("injected builder failure");
+    }
+    return exec::make_naive_engine(ctx.resolved_threads());
+  });
   dist::ShardedParams p;
   p.num_shards = 2;
-  p.inner_factory = [](int shard, int threads) -> std::unique_ptr<exec::Engine> {
-    if (shard == 1) throw std::runtime_error("injected factory failure");
-    return exec::make_naive_engine(threads);
-  };
-  auto engine = dist::make_sharded_engine(p);  // hook skips ctor pre-validation
-  EXPECT_THROW(engine->prepare({5, 5, 12}), std::runtime_error);
+  p.inners = {exec::parse_engine_spec("fails_off_caller")};
+  p.registry = &reg;
+  auto engine = dist::make_sharded_engine(p);
+  const Layout layout({5, 5, 12});
+  FieldSet fs(layout);
+  em::build_random_stable(fs, 75);
+  EXPECT_THROW(engine->run(fs, 2), std::runtime_error);
 }
 
 // ------------------------------------------------------------ shard tuning
@@ -771,22 +806,27 @@ TEST(ShardTuning, EnumerateShardCountsRespectsLimits) {
 }
 
 TEST(ShardTuning, ChooseShardCountReturnsAFeasibleChoice) {
-  tune::TuneConfig tc;
-  tc.threads = 4;
-  tc.grid = {64, 64, 128};
-  tc.machine = models::haswell18();
-  const tune::ShardChoice choice = tune::choose_shard_count(tc);
-  EXPECT_GE(choice.num_shards, 1);
-  EXPECT_LE(choice.num_shards, 4);
-  EXPECT_GE(choice.exchange_interval, 1);
-  EXPECT_GT(choice.predicted_mlups, 0.0);
-  // The inner candidate must fit the per-shard thread budget.
-  EXPECT_EQ(choice.inner.params.threads(), std::max(1, tc.threads / choice.num_shards));
+  tune::ShardedTuneConfig cfg;
+  cfg.threads = 4;
+  cfg.grid = {64, 64, 128};
+  cfg.machine = models::haswell18();
+  cfg.timed_refinement = false;
+  const tune::ShardedCandidate best = tune::autotune_sharded(cfg).best;
+  const int k = best.plan.num_shards;
+  EXPECT_GE(k, 1);
+  EXPECT_LE(k, 4);
+  EXPECT_GE(best.plan.exchange_interval, 1);
+  EXPECT_GT(best.predicted_mlups, 0.0);
+  // Every shard's tiling must fit the per-shard thread budget.
+  ASSERT_EQ(best.plan.per_shard.size(), static_cast<std::size_t>(k));
+  for (const exec::MwdParams& tiling : best.plan.per_shard) {
+    EXPECT_EQ(tiling.threads(), std::max(1, cfg.threads / k));
+  }
 
   // One thread, thin grid: decomposition cannot help, K must stay 1.
-  tc.threads = 1;
-  tc.grid = {32, 32, 12};
-  EXPECT_EQ(tune::choose_shard_count(tc).num_shards, 1);
+  cfg.threads = 1;
+  cfg.grid = {32, 32, 12};
+  EXPECT_EQ(tune::autotune_sharded(cfg).best.plan.num_shards, 1);
 }
 
 // ----------------------------------------------------------------- topology

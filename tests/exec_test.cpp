@@ -415,10 +415,24 @@ TEST(EngineRegistry, GlobalKnowsEveryKindAndRejectsUnknowns) {
   EXPECT_THROW(reg.build("sharded(inner1=mwd())", ctx), std::invalid_argument);
   EXPECT_THROW(reg.build("sharded(inner99999999999999999999=mwd())", ctx),
                std::invalid_argument);
-  // ... and integer values past int range (no silent strtol saturation).
+  // ... integer values past int range (no silent strtol saturation) ...
   EXPECT_THROW(reg.build("sharded(shards=99999999999999999999,inner=naive)", ctx),
                std::invalid_argument);
   EXPECT_THROW(reg.build("mwd(dw=2147483648)", ctx), std::invalid_argument);
+  // ... and counts below 1, which must neither run a default nor reach an
+  // engine that divides by them (spatial's cache budget per thread).
+  for (const char* spec :
+       {"naive(threads=0)", "spatial(threads=0)", "spatial(threads=-1)",
+        "mwd(threads=0)", "mwd(dw=2,groups=1,threads=0)", "auto(threads=0)",
+        "sharded(threads=0,inner=naive)", "sharded(inner=spatial(threads=0))",
+        "sharded(interval=-3,inner=naive)", "sharded(interval=0,inner=naive)",
+        "sharded(shards=-2,inner=naive)", "sharded(shards=0,inner=naive)",
+        "sharded(tps=-1,inner=naive)", "sharded(tps=0,inner=naive)",
+        "sharded(interval=0,inner=auto)", "sharded(shards=-2,inner=auto)"}) {
+    EXPECT_THROW(reg.build(spec, ctx), std::invalid_argument) << spec;
+  }
+  EXPECT_THROW(exec::mwd_params_from_spec(exec::parse_engine_spec("mwd(threads=0)"), 4),
+               std::invalid_argument);
 }
 
 TEST(EngineRegistry, ShardedAutoHonoursAValuedOverlapPin) {
@@ -474,6 +488,18 @@ TEST(EngineRegistry, RegisteredBuilderWinsAndComposesRecursively) {
   exec::BuildContext ctx;
   ctx.threads = 1;
   EXPECT_EQ(reg.build("wrapped_naive", ctx)->threads(), 1);
+
+  exec::detail::register_extended_builders(reg);
+  ctx.grid = {6, 7, 12};
+  auto sharded = reg.build("sharded(shards=2,tps=1,inner=wrapped_naive)", ctx);
+  grid::Layout L(ctx.grid);
+  grid::FieldSet ref(L), fs(L);
+  em::build_random_stable(ref, 103);
+  em::build_random_stable(fs, 103);
+  kernels::reference_step(ref, 4);
+  sharded->run(fs, 4);
+  EXPECT_EQ(grid::FieldSet::max_field_diff(fs, ref), 0.0);
+  EXPECT_EQ(sharded->stats().shards, 2);
 }
 
 TEST(MwdEngine, CachedTilingSurvivesRepeatedAndChunkedRuns) {

@@ -105,6 +105,10 @@ TEST(Simulation, EngineSpecStringSelectsTheEngine) {
   EXPECT_THROW(Simulation{bad}, std::invalid_argument);
   bad.engine_spec = "sharded(inner=sharded)";  // shards do not nest
   EXPECT_THROW(Simulation{bad}, std::invalid_argument);
+  bad.engine_spec = "sharded(shards=2,inner0=sharded(shards=2),inner1=naive)";
+  EXPECT_THROW(Simulation{bad}, std::invalid_argument);
+  bad.engine_spec = "sharded(shards=2,inner0=auto,inner1=naive)";  // auto tunes all
+  EXPECT_THROW(Simulation{bad}, std::invalid_argument);
 }
 
 TEST(Simulation, ConvergenceLoopTerminates) {

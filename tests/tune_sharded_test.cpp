@@ -6,10 +6,10 @@
 // the undecomposed reference.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "dist/partition.hpp"
-#include "dist/sharded_engine.hpp"
 #include "em/coefficients.hpp"
 #include "exec/engine_registry.hpp"
 #include "exec/engine_spec.hpp"
@@ -28,6 +28,16 @@ using grid::Layout;
 using tune::ShardedTuneConfig;
 using tune::ShardedTuneResult;
 using tune::SpaceLimits;
+
+/// The engine a plan runs as: its spec, built through the registry for the
+/// tuned grid — what stage 2 and every --engine replay construct.
+std::unique_ptr<exec::Engine> build_plan(const tune::ShardPlan& plan,
+                                         const ShardedTuneConfig& cfg) {
+  exec::BuildContext ctx;
+  ctx.grid = cfg.grid;
+  ctx.threads = cfg.threads;
+  return exec::EngineRegistry::global().build(plan.to_spec(), ctx);
+}
 
 // ---------------------------------------------------- exchange-interval axis
 
@@ -78,10 +88,8 @@ TEST(OverlapAxis, SearchedByDefaultAndSerializedInPlans) {
     (c.plan.overlap ? saw_overlap : saw_barrier_multi) = true;
     if (c.plan.overlap) {
       EXPECT_NE(c.plan.describe().find(",overlap"), std::string::npos);
-      EXPECT_TRUE(tune::to_sharded_params(c.plan).overlap);
-    } else {
-      EXPECT_FALSE(tune::to_sharded_params(c.plan).overlap);
     }
+    EXPECT_EQ(c.plan.to_spec().flag("overlap"), c.plan.overlap);
   }
   EXPECT_TRUE(saw_overlap);
   EXPECT_TRUE(saw_barrier_multi);
@@ -132,7 +140,7 @@ TEST(TransportAxis, PlanCarriesTransportThroughSpecAndParams) {
     EXPECT_EQ(c.plan.transport, "shm");
     EXPECT_NE(c.plan.describe().find("transport=shm"), std::string::npos);
     EXPECT_EQ(c.plan.to_spec().scalar("transport").value_or(""), "shm");
-    EXPECT_EQ(tune::to_sharded_params(c.plan).transport, "shm");
+    EXPECT_NE(build_plan(c.plan, cfg)->name().find("transport=shm"), std::string::npos);
   }
   EXPECT_TRUE(saw_multi);
 }
@@ -251,7 +259,7 @@ TEST(ShardedTune, FixedAxesPinTheSearch) {
   cfg.fixed_interval = 0;
   const ShardedTuneResult capped = tune::autotune_sharded(cfg);
   EXPECT_EQ(capped.best.plan.num_shards, 2);
-  EXPECT_LE(tune::to_sharded_params(capped.best.plan).threads(), 2);
+  EXPECT_LE(build_plan(capped.best.plan, cfg)->threads(), 2);
 }
 
 // --------------------------------------------------------- stage-2 (timed)
@@ -306,7 +314,7 @@ TEST(ShardedTune, EveryEmittablePlanIsBitExactVsUndecomposedRun) {
 
     const int steps = 5;  // exercises a partial final round for T in {2,3,4}
     kernels::reference_step(reference, steps);
-    auto engine = dist::make_sharded_engine(tune::to_sharded_params(c.plan));
+    auto engine = build_plan(c.plan, cfg);
     engine->run(fs, steps);
     EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << c.plan.describe();
     EXPECT_EQ(engine->stats().shards, c.plan.num_shards) << c.plan.describe();
@@ -321,24 +329,25 @@ TEST(ShardedTune, ChooseShardCountNeverExceedsAnyShardZExtent) {
   // depth (== exchange interval) must be coverable by EVERY shard's owned
   // z-block, or the partition could not be built at all.  Aggressive limits
   // push the tuner toward the infeasible corner on purpose.
-  tune::TuneConfig tc;
-  tc.machine = models::haswell18();
-  tc.limits.max_shards = 8;
-  tc.limits.min_shard_planes = 1;
-  tc.limits.max_exchange_interval = 6;
+  ShardedTuneConfig cfg;
+  cfg.machine = models::haswell18();
+  cfg.limits.max_shards = 8;
+  cfg.limits.min_shard_planes = 1;
+  cfg.limits.max_exchange_interval = 6;
+  cfg.timed_refinement = false;
   for (int nz : {1, 2, 3, 4, 5, 6, 7, 9, 12, 17}) {
     for (int threads : {1, 2, 4, 8}) {
-      tc.threads = threads;
-      tc.grid = {16, 16, nz};
-      const tune::ShardChoice choice = tune::choose_shard_count(tc);
-      ASSERT_GE(choice.num_shards, 1);
-      ASSERT_GE(choice.exchange_interval, 1);
-      const int overlap = choice.num_shards > 1 ? choice.exchange_interval : 1;
-      dist::Partitioner part(tc.grid, choice.num_shards, overlap);
+      cfg.threads = threads;
+      cfg.grid = {16, 16, nz};
+      const tune::ShardPlan plan = tune::autotune_sharded(cfg).best.plan;
+      ASSERT_GE(plan.num_shards, 1);
+      ASSERT_GE(plan.exchange_interval, 1);
+      const int overlap = plan.num_shards > 1 ? plan.exchange_interval : 1;
+      dist::Partitioner part(cfg.grid, plan.num_shards, overlap);
       for (const dist::ShardExtent& e : part.shards()) {
-        EXPECT_GE(e.owned(), choice.num_shards > 1 ? choice.exchange_interval : 1)
-            << "nz=" << nz << " threads=" << threads << " K=" << choice.num_shards
-            << " T=" << choice.exchange_interval;
+        EXPECT_GE(e.owned(), overlap)
+            << "nz=" << nz << " threads=" << threads << " K=" << plan.num_shards
+            << " T=" << plan.exchange_interval;
       }
     }
   }
@@ -366,9 +375,9 @@ TEST(ShardedTune, CsvSerializesOneRowPerCandidate) {
 }
 
 TEST(ShardedTune, PlanSpecsRoundTripThroughParserAndRegistry) {
-  // Every emittable plan's to_spec() must survive the string round trip and
-  // build a ShardedEngine through the registry that reproduces the direct
-  // to_sharded_params() construction bit-for-bit.
+  // Every emittable plan's to_spec() must survive the string round trip, so
+  // a CSV row pasted into --engine builds (through the registry, like every
+  // plan in EveryEmittablePlanIsBitExactVsUndecomposedRun) the same plan.
   ShardedTuneConfig cfg;
   cfg.threads = 4;
   cfg.grid = {6, 9, 16};
@@ -378,24 +387,10 @@ TEST(ShardedTune, PlanSpecsRoundTripThroughParserAndRegistry) {
   const ShardedTuneResult r = tune::autotune_sharded(cfg);
   ASSERT_FALSE(r.ranked.empty());
 
-  const Layout layout(cfg.grid);
   for (const tune::ShardedCandidate& c : r.ranked) {
     const exec::EngineSpec spec = c.plan.to_spec();
     const std::string text = exec::to_string(spec);
     EXPECT_EQ(exec::parse_engine_spec(text), spec) << text;
-
-    FieldSet direct_fs(layout), spec_fs(layout);
-    em::build_random_stable(direct_fs, /*seed=*/97);
-    em::build_random_stable(spec_fs, /*seed=*/97);
-    auto direct = dist::make_sharded_engine(tune::to_sharded_params(c.plan));
-    exec::BuildContext ctx;
-    ctx.grid = cfg.grid;
-    ctx.threads = cfg.threads;
-    auto via_registry = exec::EngineRegistry::global().build(text, ctx);
-    direct->run(direct_fs, 5);
-    via_registry->run(spec_fs, 5);
-    EXPECT_EQ(FieldSet::max_field_diff(direct_fs, spec_fs), 0.0) << text;
-    EXPECT_EQ(via_registry->stats().shards, direct->stats().shards) << text;
   }
 }
 
