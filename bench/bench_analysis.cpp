@@ -8,6 +8,8 @@
 //                 B_C spatial = 1216 B/LUP (Eq. 9),  I = 0.20 flops/B
 //                 Pmem = 50 GB/s / 1216 = 41 MLUP/s (Eq. 10)
 //                 storage 640 B/cell, 248 flops/LUP
+// The storage row prints the paper's count beside the bytes per cell a
+// FieldSet actually allocates.
 #include "common.hpp"
 
 #include "grid/fieldset.hpp"
@@ -28,11 +30,17 @@ int main(int argc, char** argv) {
 
   banner("bench_analysis", "paper Sec. III analysis (Eqs. 8, 9, 10, 12)");
 
+  // The models count the paper's 40 arrays; a FieldSet stores fields, class
+  // ids, tables and the written source planes only (grid/fieldset.hpp).
+  const grid::FieldSet state(grid::Layout({n, n, n}));
   std::printf("static properties:\n");
-  std::printf("  arrays per cell        : %d (12 fields + 28 coefficients)\n",
-              grid::FieldSet::num_arrays());
-  std::printf("  bytes per cell         : %zu (paper: 640)\n",
-              grid::FieldSet::bytes_per_cell());
+  std::printf("  arrays per cell        : %d (paper: 12 fields + 28 coefficients)\n",
+              models::kPaperArrays);
+  std::printf("  bytes per cell         : %d (paper: 640)\n", models::kPaperBytesPerCell);
+  std::printf("  FieldSet bytes per cell: %.1f allocated per padded cell at n=%d\n",
+              static_cast<double>(state.allocated_bytes()) /
+                  static_cast<double>(state.layout().padded_cells()),
+              n);
   std::printf("  flops per LUP          : %d (paper: 248)\n\n", models::kFlopsPerLup);
 
   const models::Machine hsw = models::haswell18();

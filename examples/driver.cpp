@@ -109,6 +109,13 @@ int main(int argc, char** argv) {
   report.add_row({"queue_wait_s", util::fmt_double(st.queue_wait_seconds, 4)});
   report.add_row({"barrier_wait_s", util::fmt_double(st.barrier_wait_seconds, 4)});
   report.add_row({"isa", st.kernel_isa});
+  // The state the engines stream, over every padded cell.
+  const std::size_t state_bytes = sim.fields().allocated_bytes();
+  report.add_row({"state_mb", util::fmt_double(static_cast<double>(state_bytes) / 1e6, 6)});
+  report.add_row({"state_bytes_per_cell",
+                  util::fmt_double(static_cast<double>(state_bytes) /
+                                       static_cast<double>(sim.fields().layout().padded_cells()),
+                                   6)});
   report.add_row({"E_energy", util::fmt_double(sim.electric_energy(), 8)});
   report.add_row({"total_energy", util::fmt_double(sim.total_energy(), 8)});
   const auto abs = sim.absorption_by_material();

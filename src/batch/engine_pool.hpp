@@ -2,7 +2,7 @@
 // across jobs that share a grid shape.
 //
 // A spectrum sweep runs 80-160 simulations over the SAME geometry; without
-// pooling every job would re-allocate its FieldSet (640 bytes/cell), re-run
+// pooling every job would re-allocate its FieldSet (about 193 bytes/cell), re-run
 // the tuner for `auto` specs and rebuild its engine (for the sharded engine
 // that means K more FieldSets plus halo staging).  The pool keeps idle
 // engines and FieldSets keyed by (canonical spec string, grid extents,

@@ -7,7 +7,8 @@
 // victims are written into the next level, and traffic past the last level
 // is DRAM traffic.  For code-balance measurements a single shared
 // last-level cache is the configuration that matters (private L1/L2 are too
-// small to affect DRAM traffic of 640 B/cell streams), and is the default.
+// small to affect DRAM traffic of the paper's 640 B/cell streams, which the
+// replay models), and is the default.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +52,8 @@ class Hierarchy {
 /// array's base is additionally staggered by a per-array line offset so
 /// that equal in-array offsets do not collide on the same cache sets —
 /// mirroring the arbitrary allocator placement of real arrays (without
-/// this, 40 same-shaped arrays alias into 16-way sets and conflict misses
-/// swamp every measurement).
+/// this, the paper's 40 same-shaped arrays alias into 16-way sets and
+/// conflict misses swamp every measurement).
 inline std::uint64_t array_addr(int array_id, std::uint64_t complex_index) {
   const std::uint64_t id = static_cast<std::uint64_t>(array_id);
   return (id << 36) + id * (64u * 1237u) + complex_index * 16u;

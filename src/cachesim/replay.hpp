@@ -1,7 +1,11 @@
 // Traffic replay: drive the cache simulator with the exact memory access
 // stream of each engine (same traversal code as the real engines), yielding
 // the "measured" memory transfer volumes and code balance the paper obtains
-// from LIKWID hardware counters (Figs. 5, 6c/d, 7c/d, 8c/d).
+// from LIKWID hardware counters (Figs. 5, 6c/d, 7c/d, 8c/d).  The replayed
+// stream is the paper's: every cell touches dense t and c arrays and the
+// z-shift components a dense source array, so the figures reproduce the
+// paper's 40-array counting, not the compact grid::FieldSet the engines
+// stream.
 #pragma once
 
 #include <cstdint>

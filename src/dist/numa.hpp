@@ -1,8 +1,9 @@
 // NUMA-aware shard placement.
 //
 // Each shard's FieldSet is allocated and zero-filled (first touch) by a
-// thread already bound to the shard's NUMA node, so the shard's 40 arrays
-// are resident in that node's local memory and the inner engine's threads
+// thread already bound to the shard's NUMA node, so the shard's field
+// arrays and class ids (and, at scatter, its source planes) are resident in
+// that node's local memory and the inner engine's threads
 // (which inherit the binding) never cross the socket interconnect for
 // interior work — only the halo exchange does.
 #pragma once

@@ -56,8 +56,9 @@ class Partitioner {
   /// Layout for shard `s`: same nx/ny/halo as a global Layout, nz = ext_nz.
   grid::Layout shard_layout(int s) const;
 
-  /// Copy all 40 arrays' planes of the shard's extended range out of the
-  /// global set (shard setup).  `shard_fs` must use shard_layout(s).
+  /// Copy the field, class-id and source planes of the shard's extended
+  /// range out of the global set, with each plane's coefficient slice
+  /// (shard setup).  `shard_fs` must use shard_layout(s).
   void scatter(const grid::FieldSet& global_fs, grid::FieldSet& shard_fs, int s) const;
 
   /// Copy the 12 field arrays' OWNED planes back into the global set.

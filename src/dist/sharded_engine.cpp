@@ -101,7 +101,7 @@ class ShardedEngine final : public exec::Engine {
     st->ptrs.assign(static_cast<std::size_t>(K), nullptr);
     st->inners.resize(static_cast<std::size_t>(K));
 
-    // First touch: allocate and zero-fill each shard's 40 arrays from a
+    // First touch: allocate and zero-fill each shard's FieldSet from a
     // thread bound to the shard's NUMA node so the pages land there.
     exec::ThreadTeam::run(K, [&](int s) {
       const ScopedNodeBinding binding(p_.numa_bind, st->topo, s, K);

@@ -12,10 +12,12 @@
 //                   = e^{i w tau} E^n - (tau/eps) e^{i w tau/2} (curl H)_X - tau*S
 //
 // which maps exactly onto the kernel form  X = t*X + Src - c*diff  with the
-// per-component diff signs from the component table.  t and c are complex
-// per-cell arrays (the paper's tHyx/cHyx etc.); this module fills them from
-// a material map + PML profiles, and also provides the synthetic coefficient
-// sets the performance experiments use.
+// per-component diff signs from the component table.  The paper stores t
+// and c as complex per-cell arrays (tHyx/cHyx etc.); a FieldSet stores the
+// same values as per-component tables indexed by a per-cell class and the
+// PML slice (grid/fieldset.hpp).  This module fills them from a material
+// map + PML profiles, and also provides the synthetic coefficient sets the
+// performance experiments use.
 #pragma once
 
 #include <complex>
@@ -50,18 +52,26 @@ struct CoeffPair {
 CoeffPair compute_coeffs(const kernels::CompInfo& comp, const Material& m,
                          double sigma_pml, double sigma_star_pml, const ThiimParams& p);
 
-/// Fill all 24 t/c arrays of `fs` from the material map and PML profiles.
-/// Source arrays are zeroed; add sources afterwards (em/source.hpp).
+/// Fill the t/c tables of `fs` from the material map and PML profiles: one
+/// slice per distinct PML conductivity along each axis and one class per
+/// palette entry (the cell classes are the palette ids).  Under x-PML the
+/// classes are (palette id, x slice) pairs and x keeps one slice, unless
+/// that makes more than 256 classes.  Every entry is
+/// the compute_coeffs value the cells of that class and slice read.  Source
+/// planes are dropped; add sources afterwards (em/source.hpp).
 void build_coefficients(grid::FieldSet& fs, const MaterialGrid& mats,
                         const PmlProfiles& pml, const ThiimParams& p);
 
-/// Uniform-material fast path (benchmarking: same arithmetic, no geometry).
+/// Uniform-material fast path (benchmarking: same arithmetic, no geometry):
+/// one class, one slice per axis, no source plane.
 void build_uniform_coefficients(grid::FieldSet& fs, const Material& m,
                                 const ThiimParams& p);
 
-/// Synthetic coefficients for correctness/performance tests: every t has
-/// |t| <= rho < 1 (contractive, so long runs stay bounded) and c is a small
-/// random complex number.  Fields are seeded with random data too.
+/// Synthetic coefficients for correctness/performance tests: random tables
+/// of 256 classes where every t has |t| in [rho/2, rho], rho < 1
+/// (contractive, so long runs stay bounded) and |c| <= 0.05, and a random
+/// class per interior cell.  Fields are seeded with random data and every
+/// interior plane gets random sources (|src| <= 0.01).
 void build_random_stable(grid::FieldSet& fs, std::uint64_t seed, double rho = 0.97);
 
 }  // namespace emwd::em

@@ -5,7 +5,10 @@
 // back contact — are used directly in the frequency domain, with the "back
 // iteration" (Eq. 5) applied wherever Re(eps) < 0.  Materials are stored as
 // a palette plus a per-cell palette index, which keeps the material map at
-// one byte per cell next to the 640 field bytes.
+// one byte per cell.  build_coefficients copies that index into the
+// FieldSet as the cell's coefficient class, so the palette's at most 256
+// entries are also the coefficient tables' classes (under x-PML, the class
+// pairs the index with the cell's x-PML position).
 #pragma once
 
 #include <complex>

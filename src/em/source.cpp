@@ -20,30 +20,16 @@ kernels::Comp owner(SourceField which) {
   }
 }
 
-int axis_position(kernels::Axis axis, int i, int j, int k) {
-  switch (axis) {
-    case kernels::Axis::X:
-      return i;
-    case kernels::Axis::Y:
-      return j;
-    case kernels::Axis::Z:
-    default:
-      return k;
-  }
-}
-
 void deposit(grid::FieldSet& fs, const MaterialGrid& mats, const PmlProfiles& pml,
              const ThiimParams& p, SourceField which, int i, int j, int k,
              std::complex<double> amplitude) {
-  const kernels::Comp comp = owner(which);
-  const kernels::CompInfo& ci = kernels::info(comp);
-  grid::Field* src = fs.source_for(comp);
-  if (src == nullptr) throw std::logic_error("source owner component has no Src array");
+  const kernels::CompInfo& ci = kernels::info(owner(which));
   const Material& m = mats.at(i, j, k);
-  const int pos = axis_position(ci.axis, i, j, k);
+  const int pos = kernels::axis_position(ci.axis, i, j, k);
   const CoeffPair cc =
       compute_coeffs(ci, m, pml.sigma(ci.axis, pos), pml.sigma_star(ci.axis, pos), p);
-  src->set(i, j, k, src->at(i, j, k) + cc.src_scale * amplitude);
+  fs.set_source(ci.src_index, i, j, k,
+                fs.source_at(ci.src_index, i, j, k) + cc.src_scale * amplitude);
 }
 
 }  // namespace

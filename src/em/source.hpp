@@ -5,7 +5,8 @@
 // Listings 1/2: `+SrcHy[i]`).  The four source arrays live on the four
 // z-shift components (SrcEx -> Exy, SrcEy -> Eyx, SrcHx -> Hxy,
 // SrcHy -> Hyx), which is exactly what a z-propagating incident plane wave
-// needs — the paper's solar-cell setup illuminates from the top.
+// needs — the paper's solar-cell setup illuminates from the top.  A
+// FieldSet stores only the z-planes a source was written to.
 #pragma once
 
 #include <complex>

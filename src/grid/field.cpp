@@ -8,19 +8,6 @@ namespace emwd::grid {
 
 Field::Field(const Layout& layout) : layout_(layout), data_(layout.padded_cells() * 2, 0.0) {}
 
-void Field::fill(std::complex<double> v) {
-  const int nx = layout_.nx(), ny = layout_.ny(), nz = layout_.nz();
-  for (int k = 0; k < nz; ++k) {
-    for (int j = 0; j < ny; ++j) {
-      double* row = data_.data() + 2 * layout_.at(0, j, k);
-      for (int i = 0; i < nx; ++i) {
-        row[2 * i] = v.real();
-        row[2 * i + 1] = v.imag();
-      }
-    }
-  }
-}
-
 void Field::clear() { std::fill(data_.begin(), data_.end(), 0.0); }
 
 void Field::clear_halo() {
@@ -40,9 +27,8 @@ void Field::clear_halo() {
   }
 }
 
-void Field::copy_z_planes_from(const Field& src, int k_src, int k_dst, int count) {
-  const Layout& ls = src.layout_;
-  const Layout& ld = layout_;
+void check_plane_copy(const Layout& ls, const Layout& ld, int k_src, int k_dst,
+                      int count) {
   if (ls.nx() != ld.nx() || ls.ny() != ld.ny() || ls.halo() != ld.halo() ||
       ls.stride_z() != ld.stride_z()) {
     throw std::invalid_argument("copy_z_planes_from: incompatible plane shapes");
@@ -51,6 +37,12 @@ void Field::copy_z_planes_from(const Field& src, int k_src, int k_dst, int count
       k_dst < -ld.halo() || k_dst + count > ld.nz() + ld.halo()) {
     throw std::out_of_range("copy_z_planes_from: plane range outside padded extent");
   }
+}
+
+void Field::copy_z_planes_from(const Field& src, int k_src, int k_dst, int count) {
+  const Layout& ls = src.layout_;
+  const Layout& ld = layout_;
+  check_plane_copy(ls, ld, k_src, k_dst, count);
   if (count == 0) return;
   // Padded z-planes are contiguous runs of stride_z complex cells.
   const std::size_t plane = static_cast<std::size_t>(ld.stride_z()) * 2;

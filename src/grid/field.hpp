@@ -11,6 +11,14 @@
 
 namespace emwd::grid {
 
+/// Validate a copy of `count` whole padded z-planes from [k_src, ...) of a
+/// `src`-shaped array into [k_dst, ...) of a `dst`-shaped one (see
+/// Field::copy_z_planes_from): throws std::invalid_argument unless both
+/// share x/y extents and halo, std::out_of_range for a range outside
+/// either padded extent.
+void check_plane_copy(const Layout& src, const Layout& dst, int k_src, int k_dst,
+                      int count);
+
 class Field {
  public:
   Field() = default;
@@ -35,7 +43,6 @@ class Field {
     data_[p + 1] = v.imag();
   }
 
-  void fill(std::complex<double> v);
   /// Reset everything (interior and halo) to zero.
   void clear();
   /// Zero only the halo cells; used to restore Dirichlet boundaries.

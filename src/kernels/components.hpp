@@ -50,6 +50,11 @@ struct CompInfo {
   int flops;           // per lattice site, matches the paper's counts
 };
 
+/// Position of cell (i, j, k) along `axis`.
+constexpr int axis_position(Axis axis, int i, int j, int k) {
+  return axis == Axis::X ? i : axis == Axis::Y ? j : k;
+}
+
 /// Index into the 12-entry tables.
 constexpr int idx(Comp c) { return static_cast<int>(c); }
 

@@ -6,6 +6,13 @@
 // doubles, read-modify-write of the component, two partner reads at base and
 // shifted index, complex t and c coefficients, optional source term).
 //
+// The paper streams t and c as per-cell arrays.  Engines instead pass a
+// row of uint8 coefficient classes and a table slice: cell i reads t and c
+// from entry cls[i], so a row streams 1 byte of coefficient index per cell
+// instead of 32 (grid/fieldset.hpp).  Without a class row the kernel reads
+// per-cell t and c, the dense form the row probes time; both forms are the
+// same loop under a compile-time switch.
+//
 // update_row() runs one of two bodies, chosen once per process: on x86 CPUs
 // with AVX2, two complex cells per 256-bit vector (the paper's Sec. VI SIMD
 // item); elsewhere the portable loop update_row_scalar().  row_isa() names
@@ -23,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "grid/fieldset.hpp"
 #include "kernels/components.hpp"
@@ -30,22 +38,25 @@
 namespace emwd::kernels {
 
 /// Parameters of one row update.  All pointers address interleaved doubles
-/// and already point at the first complex cell of the row (x = x0).
+/// (cls: bytes) and, except t and c under `cls`, already point at the first
+/// complex cell of the row (x = x0).
 struct RowArgs {
   double* x;             // component being updated (read-modify-write)
-  const double* t;       // tX coefficient
-  const double* c;       // cX coefficient
+  const double* t;       // tX coefficient: per cell, or a table slice under cls
+  const double* c;       // cX coefficient: per cell, or a table slice under cls
   const double* src;     // source term or nullptr
   const double* a;       // partner split part A at base index
   const double* b;       // partner split part B at base index
   std::ptrdiff_t shift;  // partner offset in complex cells (signed)
   double ds;             // diff_sign: +1 => (cur - shifted), -1 => (shifted - cur)
   int n;                 // complex cells in the row
+  const std::uint8_t* cls = nullptr;  // per-cell table entry, or nullptr (dense)
 };
 
-/// X[p] = t[p]*X[p] (+ src[p]) - c[p] * (ds*(A[p]-A[p+shift]) + ds*(B[p]-B[p+shift]))
-/// with full complex arithmetic (22 flops/cell with src, 20 without), by
-/// the body row_isa() names.
+/// X[p] = t[e]*X[p] (+ src[p]) - c[e] * (ds*(A[p]-A[p+shift]) + ds*(B[p]-B[p+shift]))
+/// with e = cls[p] under `cls` and e = p without, in full complex
+/// arithmetic (22 flops/cell with src, 20 without), by the body row_isa()
+/// names.
 void update_row(const RowArgs& args) noexcept;
 
 /// "avx2" or "scalar": the body update_row() runs on this CPU (a static
@@ -56,11 +67,12 @@ const char* row_isa() noexcept;
 void update_row_scalar(const RowArgs& args) noexcept;
 
 /// Convenience wrapper: updates component `comp` for the x-range [x0, x1)
-/// of row (j, k) of `fs`.  Resolves arrays, shift offset and diff sign from
-/// the component table.  Under XBoundary::Periodic, the x-shift components
-/// peel the wrap-around cell (x = 0 for Ĥ, x = nx-1 for Ê) and read the
-/// partner values from the opposite domain edge — the paper's Sec. VI
-/// scheme.  The wrapped reads target the *other* field's previous
+/// of row (j, k) of `fs`.  Resolves arrays, table slice, shift offset and
+/// diff sign from the component table; an x-axis row of a set with several
+/// x slices runs once per run of equal slice.  Under XBoundary::Periodic,
+/// the x-shift components peel the wrap-around cell (x = 0 for Ĥ, x = nx-1
+/// for Ê) and read the partner values from the opposite domain edge — the
+/// paper's Sec. VI scheme.  The wrapped reads target the *other* field's previous
 /// half-step values, so tiling and thread splits stay race-free unchanged.
 void update_comp_row(grid::FieldSet& fs, Comp comp, int x0, int x1, int j, int k);
 

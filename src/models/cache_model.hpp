@@ -4,9 +4,12 @@
 //   Ww = Dw + BZ - 1.
 //
 // Every point of the diamond-wavefront tile extends over the full x
-// dimension (16 bytes per double-complex cell); the 40 arrays cover the
-// wavefront-tile area, and the 12 field components add a one-column halo
-// ring of extent Dw + Ww.  The auto-tuner prunes its parameter space to
+// dimension (16 bytes per double-complex cell); the paper's 40 arrays
+// (models::kPaperArrays) cover the wavefront-tile area, and the 12 field
+// components add a one-column halo ring of extent Dw + Ww.  The engines'
+// FieldSet keeps only the 12 field arrays plus a byte of coefficient class
+// per cell, so a tile's real footprint is about a third of Cs; the tuner
+// keeps the paper's Cs until the model is recalibrated to that layout.  The auto-tuner prunes its parameter space to
 // tiles whose Cs fits the usable share of the last-level cache (the paper's
 // rule of thumb: half the L3).
 #pragma once

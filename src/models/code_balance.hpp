@@ -6,12 +6,27 @@
 //   spatial (Eq. 9):  4*(14+12+12)*8 = 1216 bytes/LUP
 //   diamond (Eq. 12): 16*[6*(2*Dw-1) + (40*Dw+12)] / (Dw^2/2)
 // and the arithmetic intensity I = 248 flops / B_C.
+//
+// These equations count the paper's 40 streamed arrays (kPaperArrays).  The
+// engines no longer stream them: a FieldSet holds the 12 field arrays, a
+// byte of coefficient class per cell, small t/c tables and only the written
+// source planes (grid/fieldset.hpp).  So every byte count here, and any
+// bytes/LUP a caller reports from it, is the paper model's number, not the
+// engines' traffic, until the model is recalibrated to that layout.
 #pragma once
 
 namespace emwd::models {
 
 /// DP flops per lattice-site update (4 nests at 22 + 8 nests at 20).
 constexpr int kFlopsPerLup = 248;
+
+/// Domain-sized double-complex arrays of the paper's update (Sec. III): the
+/// 12 split components, a t and a c coefficient array per component and 4
+/// source arrays (4*3 + 8*2 = 28 static arrays).
+constexpr int kPaperArrays = 40;
+
+/// The paper's state per grid cell: 16 bytes per complex array (Sec. I-A).
+constexpr int kPaperBytesPerCell = 16 * kPaperArrays;
 
 /// Eq. 8: every loop nest streams from DRAM; the four z-shift nests pay 18
 /// doubles (2 write + 12 base reads + 4 shifted reads), the rest 12.

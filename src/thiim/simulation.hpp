@@ -55,7 +55,7 @@ struct SimulationConfig {
 
 /// Pooled resources a Simulation may borrow instead of allocating and
 /// building its own — the seam the batch subsystem's EnginePool uses so
-/// successive jobs on the same grid shape skip the 40-array allocation and
+/// successive jobs on the same grid shape skip the FieldSet allocation and
 /// engine (re-)construction.  Both pointers are optional and non-owning;
 /// they must outlive the Simulation.
 ///   engine: used as-is (cfg's engine selection is ignored).  The caller
@@ -63,8 +63,9 @@ struct SimulationConfig {
 ///           prepared state (MWD tiling cache, the sharded engine's shard
 ///           FieldSets), which is exactly what pooling amortizes.
 ///   fields: layout interior must equal cfg.grid (else std::invalid_argument).
-///           The set is clear_all()-ed on borrow, so results are bit-exact
-///           with a freshly constructed Simulation.
+///           The set is clear_all()-ed on borrow (fields zeroed, one empty
+///           coefficient class, source planes released), so results and
+///           footprint match a freshly constructed Simulation.
 struct BorrowedState {
   exec::Engine* engine = nullptr;
   grid::FieldSet* fields = nullptr;

@@ -19,6 +19,9 @@
 #include "dist/shm_transport.hpp"
 #include "dist/transport.hpp"
 #include "em/coefficients.hpp"
+#include "em/material.hpp"
+#include "em/pml.hpp"
+#include "em/source.hpp"
 #include "exec/engine_registry.hpp"
 #include "exec/engine_spec.hpp"
 #include "grid/fieldset.hpp"
@@ -102,13 +105,53 @@ TEST(PlaneSlicing, ScatterGatherRoundTripsAllArrays) {
     FieldSet shard(part.shard_layout(s));
     part.scatter(global, shard, s);
     EXPECT_EQ(shard.x_boundary(), grid::XBoundary::Periodic);
-    // Spot-check a sliced coefficient value.
-    const ShardExtent& e = part.shard(s);
-    EXPECT_EQ(shard.coeff_t(kernels::Comp::Exy).at(1, 2, e.to_local(e.z0)),
-              global.coeff_t(kernels::Comp::Exy).at(1, 2, e.z0));
     part.gather(shard, out, s);
   }
   EXPECT_EQ(FieldSet::max_field_diff(out, global), 0.0);
+}
+
+TEST(PlaneSlicing, ShardCellsReadTheirGlobalPlanesCoefficients) {
+  // Under z-PML each z-plane reads its own table slice, so a shard must map
+  // its local planes, ghost planes included, to the global planes' slices.
+  const Layout L({5, 4, 24});
+  const em::ThiimParams p = em::make_params(10.0);
+  em::PmlSpec spec;
+  spec.thickness = 5;  // z only, the paper's setup
+  const em::PmlProfiles pml(L, spec, p.h);
+  em::MaterialGrid mats(L);
+  const auto asi = mats.add(em::amorphous_silicon());
+  mats.set(2, 1, 3, asi);
+  mats.set(4, 3, 20, asi);
+  FieldSet global(L);
+  em::build_coefficients(global, mats, pml, p);
+  em::add_plane_wave(global, mats, pml, p, em::SourceField::Ex, 19, {1.0, 0.5});
+  em::add_point_dipole(global, mats, pml, p, em::SourceField::Hy, 1, 1, 2, {0.0, 1.0});
+  ASSERT_EQ(global.num_slices(kernels::Axis::Z), spec.thickness + 1);
+
+  for (const int shards : {2, 3}) {
+    Partitioner part(L.interior(), shards, 2);
+    for (int s = 0; s < part.num_shards(); ++s) {
+      FieldSet shard(part.shard_layout(s));
+      part.scatter(global, shard, s);
+      const ShardExtent& e = part.shard(s);
+      for (int lk = 0; lk < e.ext_nz(); ++lk) {
+        const int k = e.ext_z0() + lk;
+        for (int j = 0; j < L.ny(); ++j) {
+          for (int i = 0; i < L.nx(); ++i) {
+            for (const auto& ci : kernels::kComps) {
+              ASSERT_EQ(shard.t_at(ci.self, i, j, lk), global.t_at(ci.self, i, j, k))
+                  << ci.name << " shard " << s << "/" << shards << " k=" << k;
+              ASSERT_EQ(shard.c_at(ci.self, i, j, lk), global.c_at(ci.self, i, j, k));
+            }
+            for (int src = 0; src < kernels::kNumSources; ++src) {
+              ASSERT_EQ(shard.source_at(src, i, j, lk), global.source_at(src, i, j, k))
+                  << "source " << src << " shard " << s << "/" << shards << " k=" << k;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PlaneSlicing, FieldPlaneCopyValidatesRanges) {

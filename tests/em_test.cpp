@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <string>
 
 #include "em/coefficients.hpp"
 #include "em/geometry.hpp"
@@ -11,6 +13,8 @@
 #include "em/pml.hpp"
 #include "em/source.hpp"
 #include "grid/fieldset.hpp"
+#include "kernels/update.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -172,9 +176,9 @@ TEST(Coefficients, BuildUniformMatchesPerCell) {
   em::build_uniform_coefficients(fs, m, p);
   for (const auto& c : kernels::kComps) {
     const em::CoeffPair cc = em::compute_coeffs(c, m, 0.0, 0.0, p);
-    const cd t = fs.coeff_t(c.self).at(2, 1, 3);
+    const cd t = fs.t_at(c.self, 2, 1, 3);
     EXPECT_NEAR(std::abs(t - cc.t), 0.0, 1e-14);
-    const cd cv = fs.coeff_c(c.self).at(0, 0, 0);
+    const cd cv = fs.c_at(c.self, 0, 0, 0);
     EXPECT_NEAR(std::abs(cv - cc.c), 0.0, 1e-14);
   }
 }
@@ -191,11 +195,157 @@ TEST(Coefficients, BuildAppliesPmlPerDerivativeAxis) {
   em::PmlProfiles pml(L, spec, p.h);
   em::build_coefficients(fs, mats, pml, p);
 
-  const cd t_z_shell = fs.coeff_t(Comp::Exy).at(4, 4, 0);   // axis Z, in shell
-  const cd t_z_core = fs.coeff_t(Comp::Exy).at(4, 4, 12);   // axis Z, interior
-  const cd t_y_shell = fs.coeff_t(Comp::Exz).at(4, 4, 0);   // axis Y, in shell
+  const cd t_z_shell = fs.t_at(Comp::Exy, 4, 4, 0);   // axis Z, in shell
+  const cd t_z_core = fs.t_at(Comp::Exy, 4, 4, 12);   // axis Z, interior
+  const cd t_y_shell = fs.t_at(Comp::Exz, 4, 4, 0);   // axis Y, in shell
   EXPECT_LT(std::abs(t_z_shell), std::abs(t_z_core));       // damped
   EXPECT_NEAR(std::abs(t_y_shell), std::abs(t_z_core), 1e-12);  // untouched
+}
+
+/// Bitwise equality of complex values.
+bool same_bits(cd u, cd v) {
+  return std::memcmp(&u, &v, sizeof(cd)) == 0;
+}
+
+/// A tandem-like stack that uses all six palette entries: a silver back
+/// contact (back iteration), textured uc-Si:H, a-Si:H, TCO and glass under
+/// vacuum.
+em::MaterialGrid tandem_scene(const grid::Layout& L) {
+  em::MaterialGrid mats(L);
+  const auto ag = mats.add(em::silver());
+  const auto ucsi = mats.add(em::microcrystalline_silicon());
+  const auto asi = mats.add(em::amorphous_silicon());
+  const auto tco = mats.add(em::tco());
+  const auto glass = mats.add(em::glass());
+  em::GeometryBuilder(mats)
+      .layer(ag, 0, 6)
+      .textured_layer(ucsi, 6, 12, em::GeometryBuilder::rough_texture(2.0, 3.0, 5))
+      .layer(asi, 14, 18)
+      .layer(tco, 18, 20)
+      .layer(glass, 20, 24);
+  return mats;
+}
+
+/// The kernel's per-cell arithmetic for cell (i, j, k) of `comp` on the
+/// state `s`, with explicit t, c and source: what the dense layout computed.
+cd dense_update(const grid::FieldSet& s, const kernels::CompInfo& ci, int i, int j, int k,
+                cd t, cd c, cd src) {
+  const grid::Layout& L = s.layout();
+  int qi = i, qj = j, qk = k;
+  (ci.axis == Axis::X ? qi : ci.axis == Axis::Y ? qj : qk) += ci.shift;
+  if (s.x_boundary() == grid::XBoundary::Periodic && ci.axis == Axis::X) {
+    qi = (qi + L.nx()) % L.nx();
+  }
+  const cd a = s.field(ci.partner_a).at(i, j, k), as = s.field(ci.partner_a).at(qi, qj, qk);
+  const cd b = s.field(ci.partner_b).at(i, j, k), bs = s.field(ci.partner_b).at(qi, qj, qk);
+  const cd x = s.field(ci.self).at(i, j, k);
+  const double ds = ci.diff_sign;
+  const double re = ds * (a.real() - as.real() + b.real() - bs.real());
+  const double im = ds * (a.imag() - as.imag() + b.imag() - bs.imag());
+  double xr = x.real() * t.real() - x.imag() * t.imag() - c.real() * re + c.imag() * im;
+  double xi = x.real() * t.imag() + x.imag() * t.real() - c.real() * im - c.imag() * re;
+  if (ci.src_index >= 0) {
+    xr += src.real();
+    xi += src.imag();
+  }
+  return {xr, xi};
+}
+
+/// The class-indexed tables of a set built from `mats`, read through the
+/// set, must hold for every interior cell and component exactly the
+/// compute_coeffs pair the dense per-cell fill stored, with PML on all three
+/// axes, and the sources must be src_scale x amplitude on the plane and
+/// +0.0 elsewhere.  Updating each component must then match the per-cell
+/// arithmetic on those values, the periodic peel included.  `x_slices` is
+/// the slice count the set keeps along x.
+void expect_tables_equal_the_per_cell_formula(const em::MaterialGrid& mats, int x_slices) {
+  const grid::Layout& L = mats.layout();
+  const em::ThiimParams p = em::make_params(12.0);
+  em::PmlSpec spec;
+  spec.thickness = 4;
+  spec.on_x = spec.on_y = spec.on_z = true;
+  const em::PmlProfiles pml(L, spec, p.h);
+  const int k_src = 26;
+  const cd amplitude{0.7, -0.3};
+
+  for (const auto bc : {grid::XBoundary::Dirichlet, grid::XBoundary::Periodic}) {
+    grid::FieldSet fs(L);
+    fs.set_x_boundary(bc);
+    em::build_coefficients(fs, mats, pml, p);
+    em::add_plane_wave(fs, mats, pml, p, em::SourceField::Hy, k_src, amplitude);
+    EXPECT_EQ(fs.num_slices(Axis::X), x_slices);
+    for (const Axis a : {Axis::Y, Axis::Z}) {
+      EXPECT_EQ(fs.num_slices(a), spec.thickness + 1);  // shell depths + interior
+    }
+    util::Xoshiro256 rng(11);
+    for (const auto& ci : kernels::kComps) {
+      for (int k = 0; k < L.nz(); ++k) {
+        for (int j = 0; j < L.ny(); ++j) {
+          for (int i = 0; i < L.nx(); ++i) {
+            fs.field(ci.self).set(i, j, k, {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)});
+          }
+        }
+      }
+    }
+
+    for (const auto& ci : kernels::kComps) {
+      grid::FieldSet next(fs);
+      for (int k = 0; k < L.nz(); ++k) {
+        for (int j = 0; j < L.ny(); ++j) kernels::update_comp_row(next, ci.self, 0, L.nx(), j, k);
+      }
+      for (int k = 0; k < L.nz(); ++k) {
+        for (int j = 0; j < L.ny(); ++j) {
+          for (int i = 0; i < L.nx(); ++i) {
+            const int pos = kernels::axis_position(ci.axis, i, j, k);
+            const em::CoeffPair cc = em::compute_coeffs(
+                ci, mats.at(i, j, k), pml.sigma(ci.axis, pos), pml.sigma_star(ci.axis, pos), p);
+            ASSERT_TRUE(same_bits(fs.t_at(ci.self, i, j, k), cc.t)) << ci.name << " " << i;
+            ASSERT_TRUE(same_bits(fs.c_at(ci.self, i, j, k), cc.c)) << ci.name << " " << i;
+            cd src{0.0, 0.0};
+            if (ci.src_index >= 0) {
+              src = fs.source_at(ci.src_index, i, j, k);
+              const bool on_plane = ci.self == Comp::Hyx && k == k_src;
+              ASSERT_TRUE(same_bits(src, on_plane ? cd(0.0, 0.0) + cc.src_scale * amplitude
+                                                  : cd(0.0, 0.0)))
+                  << ci.name << " k=" << k;
+            }
+            ASSERT_TRUE(same_bits(next.field(ci.self).at(i, j, k),
+                                  dense_update(fs, ci, i, j, k, cc.t, cc.c, src)))
+                << ci.name << " (" << i << "," << j << "," << k << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Coefficients, TablesEqualThePerCellFormula) {
+  // 6 materials x 5 x slices = 30 classes: the x slice folds into the
+  // class, so x-axis rows read one slice.
+  const em::MaterialGrid mats = tandem_scene(grid::Layout({13, 12, 30}));
+  ASSERT_EQ(mats.palette_size(), 6u);
+  expect_tables_equal_the_per_cell_formula(mats, 1);
+}
+
+TEST(Coefficients, TablesEqualThePerCellFormulaPastTheClassLimit) {
+  // 60 materials x 5 x slices = 300 classes, more than a class byte holds:
+  // the x slices stay slices and x-axis rows split into runs of equal
+  // slice.  Each (j, k) row carries one material, so all 60 meet every x
+  // slice.
+  const grid::Layout L({13, 12, 30});
+  em::MaterialGrid mats(L);
+  for (int m = 1; m < 60; ++m) {
+    mats.add(em::Material{"m" + std::to_string(m), {1.0 + 0.25 * m, 0.01 * m}, 1.0, 0.001 * m,
+                          0.0});
+  }
+  for (int k = 0; k < L.nz(); ++k) {
+    for (int j = 0; j < L.ny(); ++j) {
+      const auto id = static_cast<std::uint8_t>((j + L.ny() * k) % 60);
+      for (int i = 0; i < L.nx(); ++i) mats.set(i, j, k, id);
+    }
+  }
+  ASSERT_EQ(mats.palette_size(), 60u);
+  expect_tables_equal_the_per_cell_formula(mats, 5);
 }
 
 TEST(Coefficients, RandomStableIsContractiveAndSeeded) {
@@ -208,7 +358,7 @@ TEST(Coefficients, RandomStableIsContractiveAndSeeded) {
     for (int k = 0; k < 6; ++k) {
       for (int j = 0; j < 6; ++j) {
         for (int i = 0; i < 6; ++i) {
-          EXPECT_LE(std::abs(a.coeff_t(c.self).at(i, j, k)), 0.97 + 1e-12);
+          EXPECT_LE(std::abs(a.t_at(c.self, i, j, k)), 0.97 + 1e-12);
         }
       }
     }
@@ -225,14 +375,13 @@ TEST(Sources, PlaneWaveDepositsOnSinglePlane) {
   const em::ThiimParams p = em::make_params(16.0);
   em::PmlProfiles pml(L, em::PmlSpec{}, p.h);
   em::add_plane_wave(fs, mats, pml, p, em::SourceField::Ex, 7, {1.0, 0.0});
-  const grid::Field& src = fs.source(0);  // SrcEx
-  for (int k = 0; k < 10; ++k) {
+  for (int k = 0; k < 10; ++k) {  // SrcEx
     for (int j = 0; j < 6; ++j) {
       for (int i = 0; i < 6; ++i) {
         if (k == 7) {
-          EXPECT_GT(std::abs(src.at(i, j, k)), 0.0);
+          EXPECT_GT(std::abs(fs.source_at(0, i, j, k)), 0.0);
         } else {
-          EXPECT_EQ(src.at(i, j, k), cd(0, 0));
+          EXPECT_EQ(fs.source_at(0, i, j, k), cd(0, 0));
         }
       }
     }
@@ -250,12 +399,11 @@ TEST(Sources, PointDipoleSingleCellAndAccumulates) {
   em::PmlProfiles pml(L, em::PmlSpec{}, p.h);
   em::add_point_dipole(fs, mats, pml, p, em::SourceField::Hy, 2, 3, 4, {1.0, 0.0});
   em::add_point_dipole(fs, mats, pml, p, em::SourceField::Hy, 2, 3, 4, {1.0, 0.0});
-  const grid::Field& src = fs.source(3);  // SrcHy
-  const cd v = src.at(2, 3, 4);
+  const cd v = fs.source_at(3, 2, 3, 4);  // SrcHy
   EXPECT_GT(std::abs(v), 0.0);
   // Second deposit doubled the value.
   em::add_point_dipole(fs, mats, pml, p, em::SourceField::Hy, 2, 3, 4, {-2.0, 0.0});
-  EXPECT_NEAR(std::abs(src.at(2, 3, 4)), 0.0, 1e-14);
+  EXPECT_NEAR(std::abs(fs.source_at(3, 2, 3, 4)), 0.0, 1e-14);
   EXPECT_THROW(
       em::add_point_dipole(fs, mats, pml, p, em::SourceField::Hy, 6, 0, 0, {1.0, 0.0}),
       std::out_of_range);

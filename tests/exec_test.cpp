@@ -170,10 +170,7 @@ TEST(MwdEngine, RejectsBadParams) {
 TEST(Engines, ReportStats) {
   grid::Layout L({8, 8, 8});
   grid::FieldSet fs(L);
-  for (const auto& c : kernels::kComps) {
-    fs.coeff_t(c.self).fill({0.5, 0.0});
-    fs.coeff_c(c.self).fill({0.1, 0.0});
-  }
+  for (const auto& c : kernels::kComps) fs.set_coeffs(c.self, 0, 0, {0.5, 0.0}, {0.1, 0.0});
   auto naive = exec::make_naive_engine(2);
   naive->run(fs, 2);
   EXPECT_EQ(naive->stats().steps, 2);
@@ -561,10 +558,7 @@ TEST(Engines, PrologueRunsOncePerRunBeforeFieldUpdates) {
 TEST(Engines, StaticScheduleExecutesAllTilesWithoutQueueWaits) {
   grid::Layout L({8, 10, 8});
   grid::FieldSet fs(L);
-  for (const auto& c : kernels::kComps) {
-    fs.coeff_t(c.self).fill({0.5, 0.0});
-    fs.coeff_c(c.self).fill({0.1, 0.0});
-  }
+  for (const auto& c : kernels::kComps) fs.set_coeffs(c.self, 0, 0, {0.5, 0.0}, {0.1, 0.0});
   exec::MwdParams p;
   p.dw = 2;
   p.bz = 2;

@@ -1,11 +1,14 @@
-// Unit tests for layouts, fields and the 12+28 array set.
+// Unit tests for layouts, fields and the compact THIIM state set.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 
+#include "em/coefficients.hpp"
 #include "grid/field.hpp"
 #include "grid/fieldset.hpp"
 #include "grid/layout.hpp"
+#include "kernels/update.hpp"
 
 namespace {
 
@@ -76,16 +79,6 @@ TEST(Field, InterleavedLayoutMatchesPaperListing) {
   EXPECT_DOUBLE_EQ(f.data()[2 * p + 1], 4.0);
 }
 
-TEST(Field, FillTouchesInteriorOnly) {
-  Layout L({3, 3, 3});
-  Field f(L);
-  f.fill({1.0, 1.0});
-  EXPECT_EQ(f.at(1, 1, 1), std::complex<double>(1.0, 1.0));
-  // Halo cell must stay zero.
-  const std::size_t halo = 2 * L.at(-1, 0, 0);
-  EXPECT_DOUBLE_EQ(f.data()[halo], 0.0);
-}
-
 TEST(Field, ClearHaloPreservesInterior) {
   Layout L({3, 3, 3});
   Field f(L);
@@ -110,26 +103,75 @@ TEST(Field, NormAndMaxAbsDiff) {
   EXPECT_THROW(Field::max_abs_diff(a, c), std::invalid_argument);
 }
 
-TEST(FieldSet, FortyArraysAt640BytesPerCell) {
-  EXPECT_EQ(FieldSet::num_arrays(), 40);
-  EXPECT_EQ(FieldSet::bytes_per_cell(), 640u);  // paper Sec. I-A
-  Layout L({8, 8, 8});
+TEST(FieldSet, StateIsAbout193BytesPerCell) {
+  // 12 complex field arrays plus one class byte per padded cell; tables,
+  // slice maps and the zero row add a few hundred bytes per set.
+  Layout L({16, 16, 16});
   FieldSet fs(L);
-  EXPECT_GE(fs.allocated_bytes(), 40u * 16u * L.interior().cells());
+  const double per_cell =
+      static_cast<double>(fs.allocated_bytes()) / static_cast<double>(L.padded_cells());
+  EXPECT_GE(per_cell, 193.0);
+  EXPECT_LT(per_cell, 194.0);
 }
 
 TEST(FieldSet, SourceMapping) {
-  Layout L({4, 4, 4});
-  FieldSet fs(L);
   using kernels::Comp;
   // The four z-shift components own the four source arrays.
-  EXPECT_EQ(fs.source_for(Comp::Exy), &fs.source(0));
-  EXPECT_EQ(fs.source_for(Comp::Eyx), &fs.source(1));
-  EXPECT_EQ(fs.source_for(Comp::Hxy), &fs.source(2));
-  EXPECT_EQ(fs.source_for(Comp::Hyx), &fs.source(3));
+  EXPECT_EQ(kernels::info(Comp::Exy).src_index, 0);
+  EXPECT_EQ(kernels::info(Comp::Eyx).src_index, 1);
+  EXPECT_EQ(kernels::info(Comp::Hxy).src_index, 2);
+  EXPECT_EQ(kernels::info(Comp::Hyx).src_index, 3);
   // All others have none.
-  EXPECT_EQ(fs.source_for(Comp::Exz), nullptr);
-  EXPECT_EQ(fs.source_for(Comp::Hzy), nullptr);
+  EXPECT_EQ(kernels::info(Comp::Exz).src_index, -1);
+  EXPECT_EQ(kernels::info(Comp::Hzy).src_index, -1);
+
+  // The row update reads that mapping: with t = c = 0 a cell becomes its
+  // source term, so a value in array s reaches its owner and nothing else.
+  Layout L({4, 4, 4});
+  for (int s = 0; s < kernels::kNumSources; ++s) {
+    FieldSet fs(L);
+    fs.set_source(s, 1, 2, 2, {0.5, -0.25});
+    for (const auto& ci : kernels::kComps) kernels::update_comp_row(fs, ci.self, 0, 4, 2, 2);
+    for (const auto& ci : kernels::kComps) {
+      const std::complex<double> want =
+          ci.src_index == s ? std::complex<double>(0.5, -0.25) : std::complex<double>(0.0, 0.0);
+      EXPECT_EQ(fs.field(ci.self).at(1, 2, 2), want) << "source " << s << ", " << ci.name;
+    }
+  }
+}
+
+TEST(FieldSet, SourcesStoreOnlyWrittenPlanes) {
+  Layout L({4, 4, 4});
+  FieldSet fs(L);
+  const std::size_t fresh = fs.allocated_bytes();
+  const std::size_t plane_bytes = 2 * sizeof(double) * static_cast<std::size_t>(L.stride_z());
+  fs.set_source(3, 1, 2, 2, {0.5, -0.25});
+  fs.set_source(3, 2, 2, 2, {0.0, 1.0});  // same plane
+  EXPECT_EQ(fs.allocated_bytes(), fresh + plane_bytes);
+  EXPECT_EQ(fs.source_at(3, 2, 2, 2), std::complex<double>(0.0, 1.0));
+  EXPECT_EQ(fs.source_at(3, 1, 2, 2), std::complex<double>(0.5, -0.25));
+  EXPECT_EQ(fs.source_at(3, 3, 2, 2), std::complex<double>(0.0, 0.0));
+  EXPECT_EQ(fs.source_at(0, 1, 2, 2), std::complex<double>(0.0, 0.0));
+  // Rows without a stored plane read the zero row: +0.0, not -0.0.
+  const double* row = fs.source_row(3, 1, 1);
+  for (int i = 0; i < L.nx(); ++i) {
+    EXPECT_FALSE(std::signbit(row[2 * i]));
+    EXPECT_EQ(row[2 * i], 0.0);
+  }
+}
+
+TEST(FieldSet, ClearAllRestoresAFreshSetsFootprint) {
+  Layout L({6, 5, 7});
+  FieldSet fresh(L), fs(L);
+  em::build_random_stable(fs, 3);
+  // Every interior plane of all four sources is stored.
+  const std::size_t plane_bytes = 2 * sizeof(double) * static_cast<std::size_t>(L.stride_z());
+  EXPECT_GE(fs.allocated_bytes(),
+            fresh.allocated_bytes() + kernels::kNumSources * 7 * plane_bytes);
+  fs.clear_all();
+  EXPECT_EQ(fs.allocated_bytes(), fresh.allocated_bytes());
+  EXPECT_EQ(fs.t_at(kernels::Comp::Hyx, 2, 2, 2), std::complex<double>(0.0, 0.0));
+  EXPECT_EQ(FieldSet::max_field_diff(fs, fresh), 0.0);
 }
 
 TEST(FieldSet, CopyAndDiff) {
@@ -140,7 +182,7 @@ TEST(FieldSet, CopyAndDiff) {
   b.copy_fields_from(a);
   EXPECT_DOUBLE_EQ(FieldSet::max_field_diff(a, b), 0.0);
   // Coefficients are not part of copy_fields_from.
-  a.coeff_t(kernels::Comp::Hyx).set(0, 0, 0, {9.0, 0.0});
+  a.set_coeffs(kernels::Comp::Hyx, 0, 0, {9.0, 0.0}, {0.0, 0.0});
   EXPECT_DOUBLE_EQ(FieldSet::max_field_diff(a, b), 0.0);
   FieldSet c(Layout({5, 4, 4}));
   EXPECT_THROW(c.copy_fields_from(a), std::invalid_argument);
@@ -150,10 +192,10 @@ TEST(FieldSet, ClearFieldsKeepsCoefficients) {
   Layout L({3, 3, 3});
   FieldSet fs(L);
   fs.field(kernels::Comp::Exy).set(0, 0, 0, {1.0, 1.0});
-  fs.coeff_c(kernels::Comp::Exy).set(0, 0, 0, {5.0, 5.0});
+  fs.set_coeffs(kernels::Comp::Exy, 0, 0, {1.0, 0.0}, {5.0, 5.0});
   fs.clear_fields();
   EXPECT_EQ(fs.field(kernels::Comp::Exy).at(0, 0, 0), std::complex<double>(0, 0));
-  EXPECT_EQ(fs.coeff_c(kernels::Comp::Exy).at(0, 0, 0), std::complex<double>(5, 5));
+  EXPECT_EQ(fs.c_at(kernels::Comp::Exy, 0, 0, 0), std::complex<double>(5, 5));
 }
 
 }  // namespace

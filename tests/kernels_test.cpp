@@ -1,7 +1,9 @@
 // Unit tests for the component table, the row kernel and the reference sweep.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "grid/fieldset.hpp"
@@ -146,9 +148,8 @@ TEST(UpdateCompRow, SingleCellHandComputed) {
   grid::Layout L({1, 1, 1});
   grid::FieldSet fs(L);
   fs.field(Comp::Hyx).set(0, 0, 0, {1.0, 2.0});
-  fs.coeff_t(Comp::Hyx).set(0, 0, 0, {0.5, -0.5});
-  fs.coeff_c(Comp::Hyx).set(0, 0, 0, {0.25, 0.125});
-  fs.source(3).set(0, 0, 0, {0.1, 0.2});  // SrcHy
+  fs.set_coeffs(Comp::Hyx, 0, 0, {0.5, -0.5}, {0.25, 0.125});
+  fs.set_source(3, 0, 0, 0, {0.1, 0.2});  // SrcHy
   fs.field(Comp::Exy).set(0, 0, 0, {2.0, -1.0});
   fs.field(Comp::Exz).set(0, 0, 0, {-0.5, 0.5});
 
@@ -161,13 +162,40 @@ TEST(UpdateCompRow, SingleCellHandComputed) {
   EXPECT_NEAR(got.imag(), expected.imag(), 1e-15);
 }
 
+TEST(UpdateCompRow, RowWithoutSourcePlaneStillAddsPositiveZero) {
+  // Adding a +0.0 source turns a -0.0 pre-source value into +0.0.  A
+  // source-owning row with no stored plane must still add it: skipping the
+  // add would keep -0.0 and change snapshot bytes.
+  grid::Layout L({3, 1, 1});
+  grid::FieldSet fs(L);
+  // x = -1, t = 0, c = (0, -1) and zero partners: X*t - c*diff = -0.0 in
+  // the real part before the source term.
+  fs.set_coeffs(Comp::Hyx, 0, 0, {0.0, 0.0}, {0.0, -1.0});
+  for (int i = 0; i < 3; ++i) fs.field(Comp::Hyx).set(i, 0, 0, {-1.0, 0.0});
+
+  // Precondition: without the source add the result is -0.0.
+  std::vector<double> x(6), zero(6, 0.0);
+  for (int i = 0; i < 3; ++i) x[2 * i] = -1.0;
+  const double t[2] = {0.0, 0.0}, c[2] = {0.0, -1.0};
+  const std::uint8_t cls[3] = {0, 0, 0};
+  kernels::RowArgs args{x.data(), t, c, nullptr, zero.data(), zero.data(), 0, 1.0, 3, cls};
+  kernels::update_row(args);
+  ASSERT_TRUE(std::signbit(x[0]));
+
+  kernels::update_comp_row(fs, Comp::Hyx, 0, 3, 0, 0);
+  for (int i = 0; i < 3; ++i) {
+    const double re = fs.field(Comp::Hyx).at(i, 0, 0).real();
+    EXPECT_EQ(re, 0.0);
+    EXPECT_FALSE(std::signbit(re)) << "x=" << i << " kept -0.0: the +0.0 source was skipped";
+  }
+}
+
 TEST(UpdateCompRow, ShiftReadsNeighbourCell) {
   // Hyz reads Ezx+Ezy at x-1: give the neighbour a distinctive value and
   // check the diff enters with diff_sign -1 (shifted - current).
   grid::Layout L({2, 1, 1});
   grid::FieldSet fs(L);
-  fs.coeff_t(Comp::Hyz).fill({1.0, 0.0});
-  fs.coeff_c(Comp::Hyz).fill({1.0, 0.0});
+  fs.set_coeffs(Comp::Hyz, 0, 0, {1.0, 0.0}, {1.0, 0.0});
   fs.field(Comp::Ezx).set(0, 0, 0, {3.0, 0.0});
   fs.field(Comp::Ezx).set(1, 0, 0, {5.0, 0.0});
 
@@ -181,10 +209,7 @@ TEST(UpdateCompRow, ShiftReadsNeighbourCell) {
 TEST(Reference, ZeroFieldsStayZeroWithoutSources) {
   grid::Layout L({6, 5, 4});
   grid::FieldSet fs(L);
-  for (const auto& c : kernels::kComps) {
-    fs.coeff_t(c.self).fill({0.9, 0.1});
-    fs.coeff_c(c.self).fill({0.2, 0.0});
-  }
+  for (const auto& c : kernels::kComps) fs.set_coeffs(c.self, 0, 0, {0.9, 0.1}, {0.2, 0.0});
   kernels::reference_step(fs, 3);
   for (const auto& c : kernels::kComps) {
     EXPECT_DOUBLE_EQ(fs.field(c.self).norm(), 0.0) << c.name;
@@ -194,8 +219,8 @@ TEST(Reference, ZeroFieldsStayZeroWithoutSources) {
 TEST(Reference, SourceInjectsIntoOwnerOnly) {
   grid::Layout L({4, 4, 4});
   grid::FieldSet fs(L);
-  for (const auto& c : kernels::kComps) fs.coeff_t(c.self).fill({1.0, 0.0});
-  fs.source(0).set(1, 1, 1, {1.0, 0.0});  // SrcEx -> Exy
+  for (const auto& c : kernels::kComps) fs.set_coeffs(c.self, 0, 0, {1.0, 0.0}, {0.0, 0.0});
+  fs.set_source(0, 1, 1, 1, {1.0, 0.0});  // SrcEx -> Exy
   kernels::reference_half_step(fs, /*h_phase=*/true);
   // Ĥ half-step: no Ĥ component owns SrcEx; everything still zero.
   for (const auto& c : kernels::kHComps) {
@@ -212,11 +237,8 @@ TEST(Reference, EPhaseSeesFreshHValues) {
   // SAME reference_step call.
   grid::Layout L({4, 4, 4});
   grid::FieldSet fs(L);
-  for (const auto& c : kernels::kComps) {
-    fs.coeff_t(c.self).fill({1.0, 0.0});
-    fs.coeff_c(c.self).fill({0.5, 0.0});
-  }
-  fs.source(3).set(2, 2, 2, {1.0, 0.0});  // SrcHy -> Hyx
+  for (const auto& c : kernels::kComps) fs.set_coeffs(c.self, 0, 0, {1.0, 0.0}, {0.5, 0.0});
+  fs.set_source(3, 2, 2, 2, {1.0, 0.0});  // SrcHy -> Hyx
   kernels::reference_step(fs, 1);
   // Exy reads Hyx+Hyz at z+1: the cell below the source must see it.
   EXPECT_GT(fs.field(Comp::Exy).norm(), 0.0);
@@ -227,12 +249,9 @@ TEST(Reference, DomainOfDependenceIsRespected) {
   // (one for the Ĥ half-step, one for Ê).  Exact zero outside that cone.
   grid::Layout L({17, 17, 17});
   grid::FieldSet fs(L);
-  for (const auto& c : kernels::kComps) {
-    fs.coeff_t(c.self).fill({0.8, 0.1});
-    fs.coeff_c(c.self).fill({0.3, 0.05});
-  }
+  for (const auto& c : kernels::kComps) fs.set_coeffs(c.self, 0, 0, {0.8, 0.1}, {0.3, 0.05});
   const int center = 8, steps = 3, radius = 2 * steps;
-  fs.source(0).set(center, center, center, {1.0, 0.0});
+  fs.set_source(0, center, center, center, {1.0, 0.0});
   kernels::reference_step(fs, steps);
   for (const auto& c : kernels::kComps) {
     for (int k = 0; k < 17; ++k) {

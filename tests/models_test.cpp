@@ -17,6 +17,11 @@ TEST(CodeBalance, PaperEq8And9) {
   EXPECT_EQ(kFlopsPerLup, 248);
 }
 
+TEST(CodeBalance, PaperCountsFortyArraysAt640BytesPerCell) {
+  EXPECT_EQ(kPaperArrays, 40);           // 12 fields + 28 coefficient/source arrays
+  EXPECT_EQ(kPaperBytesPerCell, 640);    // paper Sec. I-A
+}
+
 TEST(CodeBalance, PaperArithmeticIntensities) {
   // "0.18 flops/byte" naive, "0.20" with optimal spatial blocking.
   EXPECT_NEAR(intensity(naive_bytes_per_lup()), 0.18, 0.005);

@@ -16,48 +16,58 @@ using grid::XBoundary;
 using kernels::Comp;
 
 /// Coefficients constant along x (random in y, z) — the setting where
-/// x-translation invariance must hold exactly.
+/// x-translation invariance must hold exactly.  Each (j, k) row gets a class
+/// of its own (at most 256 rows), and x-constant fields and sources.
 void build_x_uniform(grid::FieldSet& fs, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   const grid::Layout& L = fs.layout();
-  auto fill = [&](grid::Field& f, double lo, double hi) {
-    for (int k = 0; k < L.nz(); ++k) {
-      for (int j = 0; j < L.ny(); ++j) {
-        const std::complex<double> v{rng.uniform(lo, hi), rng.uniform(lo, hi)};
-        for (int i = 0; i < L.nx(); ++i) f.set(i, j, k, v);
+  const auto random = [&](double lo, double hi) {
+    return std::complex<double>{rng.uniform(lo, hi), rng.uniform(lo, hi)};
+  };
+  const int rows = L.ny() * L.nz();
+  fs.reset_coefficients(rows);
+  for (const auto& c : kernels::kComps) {
+    for (int r = 0; r < rows; ++r) {
+      const std::complex<double> t = random(-0.5, 0.5);
+      fs.set_coeffs(c.self, 0, r, t, random(-0.2, 0.2));
+    }
+  }
+  for (int k = 0; k < L.nz(); ++k) {
+    for (int j = 0; j < L.ny(); ++j) {
+      for (int i = 0; i < L.nx(); ++i) {
+        fs.classes()[L.at(i, j, k)] = static_cast<std::uint8_t>(j + L.ny() * k);
+      }
+      for (const auto& c : kernels::kComps) {
+        const std::complex<double> v = random(-1.0, 1.0);
+        for (int i = 0; i < L.nx(); ++i) fs.field(c.self).set(i, j, k, v);
+      }
+      for (int s = 0; s < kernels::kNumSources; ++s) {
+        const std::complex<double> v = random(-0.1, 0.1);
+        for (int i = 0; i < L.nx(); ++i) fs.set_source(s, i, j, k, v);
       }
     }
-  };
-  for (const auto& c : kernels::kComps) {
-    fill(fs.coeff_t(c.self), -0.5, 0.5);
-    fill(fs.coeff_c(c.self), -0.2, 0.2);
-    fill(fs.field(c.self), -1.0, 1.0);
   }
-  for (int s = 0; s < kernels::kNumSources; ++s) fill(fs.source(s), -0.1, 0.1);
 }
 
-/// Copy of `src` with every array cyclically shifted by `d` cells in x.
+/// Copy of `src` with every per-cell array (fields, classes, sources)
+/// cyclically shifted by `d` cells in x.
 grid::FieldSet shifted_copy(const grid::FieldSet& src, int d) {
   const grid::Layout& L = src.layout();
-  grid::FieldSet out(L);
-  out.set_x_boundary(src.x_boundary());
+  grid::FieldSet out(src);
   const int nx = L.nx();
-  auto shift_field = [&](const grid::Field& a, grid::Field& b) {
-    for (int k = 0; k < L.nz(); ++k) {
-      for (int j = 0; j < L.ny(); ++j) {
-        for (int i = 0; i < nx; ++i) {
-          b.set((i + d) % nx, j, k, a.at(i, j, k));
+  for (int k = 0; k < L.nz(); ++k) {
+    for (int j = 0; j < L.ny(); ++j) {
+      for (int i = 0; i < nx; ++i) {
+        const int to = (i + d) % nx;
+        for (const auto& c : kernels::kComps) {
+          out.field(c.self).set(to, j, k, src.field(c.self).at(i, j, k));
+        }
+        out.classes()[L.at(to, j, k)] = src.classes()[L.at(i, j, k)];
+        for (int s = 0; s < kernels::kNumSources; ++s) {
+          out.set_source(s, to, j, k, src.source_at(s, i, j, k));
         }
       }
     }
-  };
-  for (const auto& c : kernels::kComps) {
-    shift_field(src.field(c.self), out.field(c.self));
-    shift_field(src.coeff_t(c.self), out.coeff_t(c.self));
-    shift_field(src.coeff_c(c.self), out.coeff_c(c.self));
-  }
-  for (int s = 0; s < kernels::kNumSources; ++s) {
-    shift_field(src.source(s), out.source(s));
   }
   return out;
 }
@@ -168,10 +178,7 @@ TEST(PeriodicX, OnlyXShiftComponentsWrap) {
   grid::Layout L({6, 6, 6});
   grid::FieldSet fs(L);
   fs.set_x_boundary(XBoundary::Periodic);
-  for (const auto& c : kernels::kComps) {
-    fs.coeff_t(c.self).fill({1.0, 0.0});
-    fs.coeff_c(c.self).fill({1.0, 0.0});
-  }
+  for (const auto& c : kernels::kComps) fs.set_coeffs(c.self, 0, 0, {1.0, 0.0}, {1.0, 0.0});
   // Ezx+Ezy feed Hyz (x-); Eyx+Eyz feed Hzy (x-).
   fs.field(Comp::Ezx).set(5, 3, 3, {1.0, 0.0});
   kernels::reference_half_step(fs, /*h_phase=*/true);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -114,6 +115,82 @@ TEST(RowKernel, Avx2BodyIsBitExactWithScalar) {
   }
   // The specials must not have turned the comparison into NaN == NaN.
   EXPECT_GT(finite, compared / 4) << finite << " finite of " << compared;
+}
+
+/// A class-indexed row: 256-entry t and c tables of mixed values and a
+/// random class per cell.
+struct IndexedRow {
+  RowData d;
+  std::vector<double> t, c;
+  std::vector<std::uint8_t> cls;
+
+  IndexedRow(int cells, std::uint64_t seed) : d(cells, seed) {
+    util::Xoshiro256 rng(seed ^ 0x5eedull);
+    t.resize(2 * 256);
+    c.resize(2 * 256);
+    for (auto& e : t) e = mixed_value(rng);
+    for (auto& e : c) e = mixed_value(rng);
+    cls.resize(static_cast<std::size_t>(cells));
+    for (auto& k : cls) k = static_cast<std::uint8_t>(rng.below(256));
+  }
+
+  RowArgs args(std::vector<double>& xbuf, std::ptrdiff_t shift, double ds, bool with_src) {
+    RowArgs g = d.args(xbuf, shift, ds, with_src);
+    g.t = t.data();
+    g.c = c.data();
+    g.cls = cls.data();
+    return g;
+  }
+
+  /// The same row with the table entries expanded per cell (dense form).
+  RowArgs dense_args(std::vector<double>& xbuf, std::ptrdiff_t shift, double ds,
+                     bool with_src) {
+    for (std::size_t i = 0; i < cls.size(); ++i) {
+      for (int h = 0; h < 2; ++h) {
+        d.t[2 * i + h] = t[2 * cls[i] + h];
+        d.c[2 * i + h] = c[2 * cls[i] + h];
+      }
+    }
+    return d.args(xbuf, shift, ds, with_src);
+  }
+};
+
+TEST(RowKernel, ClassIndexedRowsAreBitExact) {
+  // The AVX2 body against the scalar loop on class-indexed rows, and both
+  // against the dense form on the expanded tables: one loop, two forms.
+  const bool avx2 = std::strcmp(kernels::row_isa(), "avx2") == 0;
+  long compared = 0, finite = 0;
+  for (int n : {1, 2, 3, 17, 1024}) {
+    for (std::uint64_t seed : {1ull, 2ull}) {
+      IndexedRow row(n, seed * 7919 + static_cast<std::uint64_t>(n));
+      const std::ptrdiff_t nn = n;
+      for (std::ptrdiff_t shift : {std::ptrdiff_t{-1}, nn}) {
+        for (double ds : {+1.0, -1.0}) {
+          for (bool with_src : {true, false}) {
+            std::vector<double> x_ref = row.d.x, x_got = row.d.x, x_dense = row.d.x;
+            kernels::update_row_scalar(row.args(x_ref, shift, ds, with_src));
+            kernels::update_row(row.args(x_got, shift, ds, with_src));
+            kernels::update_row_scalar(row.dense_args(x_dense, shift, ds, with_src));
+            for (int i = 0; i < 2 * n; ++i) {
+              const auto at = static_cast<std::size_t>(i);
+              ++compared;
+              finite += std::isfinite(x_ref[at]) ? 1 : 0;
+              ASSERT_TRUE(same_bits(x_dense[at], x_ref[at]))
+                  << "dense vs indexed: n=" << n << " seed=" << seed << " i=" << i;
+              if (avx2) {
+                ASSERT_TRUE(same_bits(x_got[at], x_ref[at]))
+                    << "n=" << n << " seed=" << seed << " shift=" << shift << " ds=" << ds
+                    << " src=" << with_src << " i=" << i << ": " << x_got[at] << " vs "
+                    << x_ref[at];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(finite, compared / 4) << finite << " finite of " << compared;
+  if (!avx2) GTEST_SKIP() << "no AVX2 on this CPU; only the scalar forms were compared";
 }
 
 }  // namespace
