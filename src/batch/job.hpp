@@ -129,9 +129,11 @@ struct Job {
   std::function<void(thiim::Simulation&, const Job&)> setup;
 
   /// Optional per-job result sink, invoked on the executor thread right
-  /// after the job finishes (also for failed and cancelled jobs).  The
-  /// ordered result table from Scheduler::wait_all()/run_sweep() does not
-  /// require this; use it for streaming consumers (live CSV, progress UI).
+  /// after the job finishes (also for failed and cancelled jobs).  A job
+  /// with a sink hands its result only to the sink: the scheduler keeps no
+  /// copy, and Scheduler::wait_all() leaves it out.  Use it for streaming
+  /// consumers (the daemon, live CSV); jobs without one fill the ordered
+  /// result table of wait_all()/run_sweep().
   std::function<void(const JobResult&)> sink;
 
   /// One JSON object (single line) carrying every wire-transportable field:

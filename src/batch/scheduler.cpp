@@ -68,9 +68,7 @@ std::size_t Scheduler::submit(Job job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closing_) throw std::logic_error("batch::Scheduler: submit after wait_all");
-    seq = results_.size();
-    results_.emplace_back();
-    ++stats_.submitted;
+    seq = stats_.submitted++;
     if (cancelled_) {
       drop = true;  // record outside the lock, consistent with cancel()
     } else {
@@ -134,7 +132,10 @@ std::vector<JobResult> Scheduler::wait_all() {
   }
   joined_ = true;
   std::lock_guard<std::mutex> lock(mu_);
-  return std::move(results_);
+  std::vector<JobResult> out = std::move(results_);
+  std::sort(out.begin(), out.end(),
+            [](const JobResult& a, const JobResult& b) { return a.index < b.index; });
+  return out;
 }
 
 bool Scheduler::preempt(std::size_t index) {
@@ -585,8 +586,15 @@ void Scheduler::finish_result(JobResult&& result,
         ++stats_.failed;
       }
     }
-    if (observed) snapshot = result;
-    results_[result.index] = std::move(result);
+    // A sink has streamed the result; only sink-less jobs keep one for
+    // wait_all(), so a long-lived scheduler (the daemon's) does not grow
+    // with every job it serves.
+    if (sink) {
+      snapshot = std::move(result);
+    } else {
+      if (observed) snapshot = result;
+      results_.push_back(std::move(result));
+    }
     done = ++done_;
     total = stats_.submitted;
   }

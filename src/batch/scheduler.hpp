@@ -113,8 +113,9 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Enqueue a job; returns its submission index (== its slot in the
-  /// wait_all() result vector).  Throws std::logic_error after wait_all().
+  /// Enqueue a job; returns its submission index (its JobResult::index;
+  /// also its slot in the wait_all() result vector when no job has a sink).
+  /// Throws std::logic_error after wait_all().
   /// After cancel(), the job is recorded as cancelled without running.
   std::size_t submit(Job job);
 
@@ -147,7 +148,9 @@ class Scheduler {
   std::size_t checkpoint_running();
 
   /// Close the queue, run everything to completion, join the executors and
-  /// return all results ordered by submission index.  Call exactly once.
+  /// return the results of the jobs without a Job::sink, ordered by
+  /// submission index (JobResult::index).  A sink job's result goes only to
+  /// its sink.  Call exactly once.
   std::vector<JobResult> wait_all();
 
   BatchStats stats() const;
@@ -204,7 +207,7 @@ class Scheduler {
   std::condition_variable cv_done_;
   std::vector<Entry> queue_;  // max-heap by (priority, -seq)
   std::map<std::size_t, std::shared_ptr<RunControl>> running_jobs_;  // by seq
-  std::vector<JobResult> results_;
+  std::vector<JobResult> results_;  // finished sink-less jobs, in finish order
   std::size_t done_ = 0;
   std::size_t running_ = 0;  // claimed by an executor, not yet finished
   bool cancelled_ = false;

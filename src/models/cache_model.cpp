@@ -1,14 +1,12 @@
 #include "models/cache_model.hpp"
 
-#include "models/code_balance.hpp"
-
 namespace emwd::models {
 
-double cache_block_bytes(int dw, int bz, int nx) {
+double cache_block_bytes(int dw, int bz, int nx, double arrays) {
   const double area = dw * static_cast<double>(dw) / 2.0 +
                       static_cast<double>(dw) * (bz - 1);
   const double halo = 12.0 * (dw + wavefront_width(dw, bz));
-  return 16.0 * nx * (kPaperArrays * area + halo);
+  return 16.0 * nx * (arrays * area + halo);
 }
 
 bool fits_cache(int dw, int bz, int nx, std::uint64_t llc_bytes, int num_tgs) {

@@ -8,21 +8,25 @@
 // (models::kPaperArrays) cover the wavefront-tile area, and the 12 field
 // components add a one-column halo ring of extent Dw + Ww.  The engines'
 // FieldSet keeps only the 12 field arrays plus a byte of coefficient class
-// per cell, so a tile's real footprint is about a third of Cs; the tuner
-// keeps the paper's Cs until the model is recalibrated to that layout.  The auto-tuner prunes its parameter space to
-// tiles whose Cs fits the usable share of the last-level cache (the paper's
-// rule of thumb: half the L3).
+// per cell (models::kEngineArrays), so a tile's real footprint is about a
+// third of the paper's Cs; the tuner's calibrated host model passes that
+// count.  The auto-tuner prunes its parameter space to tiles whose Cs fits
+// the usable share of the last-level cache (the paper's rule of thumb:
+// half the L3).
 #pragma once
 
 #include <cstdint>
+
+#include "models/code_balance.hpp"
 
 namespace emwd::models {
 
 /// Wavefront tile width Ww = Dw + BZ - 1 (paper Sec. III-C).
 constexpr int wavefront_width(int dw, int bz) { return dw + bz - 1; }
 
-/// Eq. 11 cache block size in bytes for one tile.
-double cache_block_bytes(int dw, int bz, int nx);
+/// Eq. 11 cache block size in bytes for one tile whose area streams
+/// `arrays` complex arrays.
+double cache_block_bytes(int dw, int bz, int nx, double arrays = kPaperArrays);
 
 /// Usable LLC share per the paper's rule of thumb (half the cache).
 constexpr double usable_cache_fraction() { return 0.5; }

@@ -2,9 +2,9 @@
 
 namespace emwd::models {
 
-double diamond_bytes_per_lup(int dw) {
+double diamond_bytes_per_lup(int dw, double arrays) {
   const double writes = 6.0 * (2.0 * dw - 1.0);
-  const double reads = kPaperArrays * dw + 12.0;
+  const double reads = arrays * dw + 12.0;
   const double area = dw * dw / 2.0;
   return 16.0 * (writes + reads) / area;
 }

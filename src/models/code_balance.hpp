@@ -7,12 +7,11 @@
 //   diamond (Eq. 12): 16*[6*(2*Dw-1) + (40*Dw+12)] / (Dw^2/2)
 // and the arithmetic intensity I = 248 flops / B_C.
 //
-// These equations count the paper's 40 streamed arrays (kPaperArrays).  The
-// engines no longer stream them: a FieldSet holds the 12 field arrays, a
-// byte of coefficient class per cell, small t/c tables and only the written
-// source planes (grid/fieldset.hpp).  So every byte count here, and any
-// bytes/LUP a caller reports from it, is the paper model's number, not the
-// engines' traffic, until the model is recalibrated to that layout.
+// These equations count the paper's 40 streamed arrays (kPaperArrays) by
+// default.  The engines stream fewer: a FieldSet holds the 12 field arrays,
+// a byte of coefficient class per cell, small t/c tables and only the
+// written source planes (grid/fieldset.hpp), kEngineArrays in all.  The
+// tuner's calibrated host model counts those; the paper machine keeps 40.
 #pragma once
 
 namespace emwd::models {
@@ -24,6 +23,10 @@ constexpr int kFlopsPerLup = 248;
 /// 12 split components, a t and a c coefficient array per component and 4
 /// source arrays (4*3 + 8*2 = 28 static arrays).
 constexpr int kPaperArrays = 40;
+
+/// What the engines stream per cell, in 16-byte complex arrays: the 12
+/// field components plus one byte of coefficient class.
+constexpr double kEngineArrays = 12.0 + 1.0 / 16.0;
 
 /// The paper's state per grid cell: 16 bytes per complex array (Sec. I-A).
 constexpr int kPaperBytesPerCell = 16 * kPaperArrays;
@@ -37,10 +40,10 @@ constexpr double naive_bytes_per_lup() { return 4.0 * (18 + 12 + 12) * 8.0; }
 constexpr double spatial_bytes_per_lup() { return 4.0 * (14 + 12 + 12) * 8.0; }
 
 /// Eq. 12: temporally blocked traffic for diamond width dw.  Writes: six Ĥ
-/// components over dw y-columns plus six Ê over dw-1; reads: all 40 arrays
-/// over dw columns plus one halo column of the 12 components; amortized
-/// over the dw^2/2 LUPs of the diamond.
-double diamond_bytes_per_lup(int dw);
+/// components over dw y-columns plus six Ê over dw-1; reads: all `arrays`
+/// streamed arrays over dw columns plus one halo column of the 12
+/// components; amortized over the dw^2/2 LUPs of the diamond.
+double diamond_bytes_per_lup(int dw, double arrays = kPaperArrays);
 
 /// Same counting adapted to this implementation's exact tile geometry
 /// (both Ê and Ĥ footprints span dw y-columns; see DESIGN.md Sec. 3).

@@ -1,5 +1,6 @@
 #include "models/machine.hpp"
 
+#include "models/calibrate.hpp"
 #include "util/machine_detect.hpp"
 
 namespace emwd::models {
@@ -22,17 +23,10 @@ Machine haswell18() {
 }
 
 Machine host_machine() {
-  const util::HostInfo info = util::detect_host();
-  Machine m;
-  m.name = "host";
-  m.cores = info.logical_cpus;
-  m.llc_bytes = info.l3_bytes;
-  // Rough defaults; calibrate_pcore()/calibrate_bandwidth() refine them.
-  m.bandwidth_bytes_per_s = 20e9;
-  m.ghz = 2.0;
-  m.pcore_mlups = 8.0;
-  m.sync_drag = 0.02;
-  return m;
+  // A function-local static: the first caller probes, concurrent first
+  // callers wait for it, and every later call copies the cached result.
+  static const Machine cached = calibrate_host(util::detect_host());
+  return cached;
 }
 
 }  // namespace emwd::models

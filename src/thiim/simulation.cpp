@@ -6,7 +6,6 @@
 
 #include "exec/engine_registry.hpp"
 #include "fault/inject.hpp"
-#include "models/machine.hpp"
 #include "util/machine_detect.hpp"
 
 namespace emwd::thiim {
@@ -46,7 +45,6 @@ Simulation::Simulation(const SimulationConfig& cfg, const BorrowedState& borrowe
     exec::BuildContext ctx;
     ctx.grid = cfg.grid;
     ctx.threads = cfg.threads > 0 ? cfg.threads : util::detect_host().logical_cpus;
-    ctx.machine = models::host_machine();
     owned_engine_ = exec::EngineRegistry::global().build(spec, ctx);
     engine_ = owned_engine_.get();
   }

@@ -16,17 +16,59 @@
 
 namespace emwd::tune {
 
+namespace {
+
+/// Stage 1 on a calibrated machine (ECM-style: time per LUP is the core
+/// time at the cache level the tile lives in plus the tile's memory
+/// traffic at the thread's share of the bandwidth), times the threads, the
+/// group's split efficiency and the share of groups a wavefront keeps busy.
+double calibrated_mlups(const exec::MwdParams& p, const grid::Extents& grid,
+                        const models::Machine& m, double tile_bytes, double bytes_per_lup) {
+  const models::Calibration& k = *m.calibration;
+  // A private L2 holds only its thread's share of the group's tile, so the
+  // whole L2 is usable (the half-cache rule is for the shared LLC).
+  const bool in_l2 = tile_bytes / p.tg_size() <= static_cast<double>(k.l2_bytes);
+  const double level_ns = 1e3 / (12.0 * (in_l2 ? k.l2_mlups : k.l3_mlups));
+  // x-rows of nx / tx cells pay the row-call overhead the probe's long
+  // rows amortize.
+  const double row = std::max(1.0, static_cast<double>(grid.nx) / p.tx);
+  const double core_ns =
+      12.0 * (level_ns + k.row_overhead_ns * (1.0 / row - 1.0 / k.row_cells));
+  const double memory_ns = bytes_per_lup * p.threads() / m.bandwidth_bytes_per_s * 1e9;
+  const auto eff = models::parallel_efficiency;
+  const double split = eff(p.tx, k.drag_tx) * eff(p.tz, k.drag_tz) * eff(p.tc, k.drag_tc);
+  // ny / dw whole diamonds stand on one wavefront (the clipped edge tiles
+  // are short work); fewer than num_tgs leave groups idle.
+  const int diamonds = std::max(1, grid.ny / p.dw);
+  const double busy = std::min(1.0, static_cast<double>(diamonds) / p.num_tgs);
+  return p.threads() * 1e3 / (core_ns + memory_ns) * split * busy;
+}
+
+}  // namespace
+
 Candidate score_candidate(const exec::MwdParams& p, const grid::Extents& grid,
                           const models::Machine& m) {
   Candidate c;
   c.params = p;
-  c.cache_bytes = models::cache_block_bytes(p.dw, p.bz, grid.nx) * p.num_tgs;
+  // A calibrated host counts what the engines stream; the paper's machine
+  // keeps the paper's 40 arrays, so its figures do not move.
+  const double arrays = m.calibration ? models::kEngineArrays : models::kPaperArrays;
+  const double tile = models::cache_block_bytes(p.dw, p.bz, grid.nx, arrays);
+  c.cache_bytes = tile * p.num_tgs;
   const double usable =
       models::usable_cache_fraction() * static_cast<double>(m.llc_bytes);
   c.overflow = usable > 0.0 ? c.cache_bytes / usable : 1e9;
-  const double ideal = models::diamond_bytes_per_lup(p.dw);
+  const double ideal = models::diamond_bytes_per_lup(p.dw, arrays);
   c.model_bpl = models::degraded_bytes_per_lup(ideal, c.overflow);
-  c.predicted_mlups = models::predict(m, p.threads(), c.model_bpl, /*tiled=*/true).mlups;
+  if (m.calibration) {
+    // The Eq. 10 roof bounds the calibrated score too (its memory term
+    // already keeps it there while every tile streams from memory).
+    c.predicted_mlups =
+        std::min(calibrated_mlups(p, grid, m, tile, c.model_bpl),
+                 models::pmem_mlups(m.bandwidth_bytes_per_s, c.model_bpl));
+  } else {
+    c.predicted_mlups = models::predict(m, p.threads(), c.model_bpl, /*tiled=*/true).mlups;
+  }
   return c;
 }
 

@@ -3,9 +3,12 @@
 // Two stages, mirroring the Girih tuner: (1) model ranking — every
 // candidate from the parameter space is scored with the cache block size
 // model (Eq. 11) and the bottleneck performance model, discarding tiles
-// that overflow the usable LLC share; (2) optional timed refinement — the
-// top-K surviving candidates are run for a few time steps on the real
-// engine and the fastest wins.
+// that overflow the usable LLC share; on a calibrated machine
+// (models::host_machine()) the score prices the cache level a tile lives
+// in, the group's split kind and the groups a wavefront keeps busy (see
+// src/tune/README.md); (2) optional timed refinement — the top-K surviving
+// candidates are run for a few time steps on the real engine and the
+// fastest wins.  `auto` runs stage 1 only.
 //
 // The sharded tuner (autotune_sharded) extends the same two-stage scheme
 // over the domain-decomposition axes: stage 1 enumerates every feasible
@@ -54,7 +57,10 @@ struct TuneResult {
   std::vector<Candidate> ranked;  // descending score, post-pruning
 };
 
-/// Score a single candidate with the models (stage 1 unit).
+/// Score a single candidate with the models (stage 1 unit).  A machine
+/// without calibration (the paper's) scores with pcore_mlups, sync_drag and
+/// the paper's 40 arrays; a calibrated one with its measured terms and the
+/// engines' compact layout.
 Candidate score_candidate(const exec::MwdParams& p, const grid::Extents& grid,
                           const models::Machine& m);
 

@@ -25,6 +25,10 @@ struct ThreadAffinity {
 ThreadAffinity get_thread_affinity();
 void restore_thread_affinity(const ThreadAffinity& saved);
 
+/// The process's allowed-cpu list (its main thread's mask), which a thread
+/// pinned to a slot can lend to work that should span the whole machine.
+ThreadAffinity get_process_affinity();
+
 /// RAII affinity scope: saves the calling thread's mask on construction and
 /// restores it on destruction — including exceptional exits, so a throwing
 /// job can never leak a pinned cpuset into a pooled executor thread (the

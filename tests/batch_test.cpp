@@ -661,6 +661,41 @@ TEST(Scheduler, StatsSnapshotHoldsTheAccountingIdentity) {
             st.submitted);
 }
 
+TEST(Scheduler, SinkJobsStreamTheirResultsAndAreNotKept) {
+  // A long-lived scheduler (the daemon's) streams every job through a sink;
+  // keeping those results too would grow its memory with every job served.
+  batch::SchedulerConfig sc;
+  sc.concurrency = 2;
+  sc.pin_slots = false;
+  batch::Scheduler scheduler(sc);
+  constexpr std::size_t kSinkJobs = 5;
+  std::mutex mu;
+  std::set<std::size_t> streamed;
+  std::size_t calls = 0;
+  for (std::size_t i = 0; i < kSinkJobs + 1; ++i) {
+    batch::Job job;
+    job.config = scene_config(12.0 + static_cast<double>(i), "naive");
+    job.steps = 2;
+    job.setup = paint_scene;
+    if (i != 2) {  // one sink-less job in the middle keeps its result
+      job.sink = [&](const batch::JobResult& r) {
+        std::lock_guard<std::mutex> lock(mu);
+        EXPECT_TRUE(r.ok) << r.error;
+        streamed.insert(r.index);
+        ++calls;
+      };
+    }
+    EXPECT_EQ(scheduler.submit(std::move(job)), i);
+  }
+  const std::vector<batch::JobResult> results = scheduler.wait_all();
+  EXPECT_EQ(calls, kSinkJobs);
+  EXPECT_EQ(streamed, (std::set<std::size_t>{0, 1, 3, 4, 5}));
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].index, 2u);
+  EXPECT_TRUE(results[0].ok) << results[0].error;
+  EXPECT_EQ(scheduler.stats().completed, kSinkJobs + 1);
+}
+
 // ------------------------------------------------- preemption / checkpointing
 
 TEST(SchedulerPreempt, PreemptedJobResumesBitExactlyWithCounters) {

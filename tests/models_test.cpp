@@ -6,6 +6,7 @@
 #include "models/code_balance.hpp"
 #include "models/machine.hpp"
 #include "models/perf_model.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -116,12 +117,39 @@ TEST(Machine, Haswell18MatchesPaperTestbed) {
   EXPECT_DOUBLE_EQ(m.bandwidth_bytes_per_s, 50e9);
   EXPECT_EQ(m.llc_bytes, 45ull << 20);
   EXPECT_NEAR(m.ghz, 2.3, 1e-9);
+  EXPECT_FALSE(m.calibration.has_value());  // the paper's constants, no probe
 }
 
 TEST(Machine, HostDetects) {
   const Machine m = host_machine();
   EXPECT_GE(m.cores, 1);
   EXPECT_GT(m.llc_bytes, 0u);
+}
+
+TEST(Machine, HostIsCalibratedOnceAndCached) {
+  const Machine first = host_machine();
+  ASSERT_TRUE(first.calibration.has_value());
+  const Calibration& k = *first.calibration;
+  EXPECT_GT(k.l2_mlups, 0.0);
+  EXPECT_GT(k.l3_mlups, 0.0);
+  EXPECT_GE(k.row_overhead_ns, 0.0);
+  EXPECT_GT(k.drag_tx, 0.0);
+  EXPECT_GT(k.drag_tz, 0.0);
+  EXPECT_GT(k.drag_tc, 0.0);
+  EXPECT_GT(first.bandwidth_bytes_per_s, 0.0);
+  EXPECT_GT(k.seconds, 0.0);
+  // A second call returns the cached values, without probing again: a probe
+  // takes k.seconds; the copy takes microseconds.
+  emwd::util::Timer t;
+  const Machine second = host_machine();
+  EXPECT_LT(t.seconds(), k.seconds / 10.0);
+  ASSERT_TRUE(second.calibration.has_value());
+  EXPECT_EQ(second.bandwidth_bytes_per_s, first.bandwidth_bytes_per_s);
+  EXPECT_EQ(second.calibration->l2_mlups, k.l2_mlups);
+  EXPECT_EQ(second.calibration->l3_mlups, k.l3_mlups);
+  EXPECT_EQ(second.calibration->row_overhead_ns, k.row_overhead_ns);
+  EXPECT_EQ(second.calibration->drag_tc, k.drag_tc);
+  EXPECT_EQ(second.calibration->seconds, k.seconds);
 }
 
 TEST(PerfModel, SpatialSaturatesLikeThePaper) {

@@ -1,9 +1,13 @@
 // Auto-tuner tests: parameter space constraints and model-driven selection.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
+#include "exec/engine_spec.hpp"
 #include "models/cache_model.hpp"
+#include "models/code_balance.hpp"
 #include "tune/autotuner.hpp"
 #include "tune/space.hpp"
 
@@ -119,6 +123,94 @@ TEST(Autotune, RankedListIsSortedByScoreWithinFitness) {
       EXPECT_GE(result.ranked[i - 1].predicted_mlups, result.ranked[i].predicted_mlups);
     }
   }
+}
+
+// ------------------------------------------------ calibrated host model
+
+/// A calibrated machine with the terms host_machine() measured on a 4-vCPU
+/// Xeon KVM guest (2 MiB L2 per core, 300 MiB reported L3), written in so
+/// the picks below do not depend on the host running the test.
+models::Machine calibrated_xeon() {
+  models::Machine m;
+  m.name = "xeon-kvm";
+  m.cores = 4;
+  m.llc_bytes = 300ull << 20;
+  m.bandwidth_bytes_per_s = 29.4e9;
+  models::Calibration k;
+  k.l2_bytes = 2ull << 20;
+  k.threads = 3;
+  k.l2_mlups = 29.5;
+  k.l3_mlups = 20.5;
+  k.row_cells = 128;
+  k.row_overhead_ns = 25.0;
+  k.drag_tx = 0.48;
+  k.drag_tz = 0.44;
+  k.drag_tc = 0.39;
+  m.calibration = k;
+  return m;
+}
+
+tune::TuneResult tune_calibrated(const grid::Extents& g, int threads) {
+  tune::TuneConfig cfg;
+  cfg.threads = threads;
+  cfg.grid = g;
+  cfg.machine = calibrated_xeon();
+  return tune::autotune(cfg);
+}
+
+TEST(CalibratedModel, LargeGridPicksOneThreadGroupsWithL2Tiles) {
+  // 128^3 on 3 threads (solve_large): three 1-thread groups whose tiles fit
+  // the per-core L2, not a 3-thread component split.
+  const auto r = tune_calibrated({128, 128, 128}, 3);
+  EXPECT_EQ(r.best.tg_size(), 1) << r.best.describe();
+  EXPECT_EQ(r.best.num_tgs, 3);
+  EXPECT_LE(models::cache_block_bytes(r.best.dw, r.best.bz, 128, models::kEngineArrays),
+            static_cast<double>(2ull << 20));
+  // Every split class scores below the pick, and no two classes tie (the
+  // tie-breaks would otherwise pick the class).
+  std::map<std::string, double> best_of_class;
+  for (const Candidate& c : r.ranked) {
+    const std::string cls = c.params.tc > 1 ? "tc" : c.params.tz > 1 ? "tz"
+                            : c.params.tx > 1 ? "tx" : "1wd";
+    best_of_class.emplace(cls, c.predicted_mlups);  // ranked: first is best
+  }
+  ASSERT_EQ(best_of_class.size(), 4u);
+  std::set<double> scores;
+  for (const auto& [cls, mlups] : best_of_class) {
+    scores.insert(mlups);
+    if (cls != "1wd") EXPECT_LT(mlups, best_of_class["1wd"]) << cls;
+  }
+  EXPECT_EQ(scores.size(), 4u);
+}
+
+TEST(CalibratedModel, SmallGridKeepsEveryGroupBusy) {
+  // 16x16x32 on 3 threads (serve_clients): ny / dw diamonds per wavefront
+  // must cover the three groups.
+  const auto r = tune_calibrated({16, 16, 32}, 3);
+  EXPECT_EQ(r.best.tg_size(), 1) << r.best.describe();
+  EXPECT_EQ(r.best.num_tgs, 3);
+  EXPECT_GE(16 / r.best.dw, 3) << r.best.describe();
+}
+
+TEST(CalibratedModel, OneThreadCellKeepsTheWidestDiamond) {
+  // 24x24x64 on 1 thread (sweep_cells): the parent's pick stays.
+  const auto r = tune_calibrated({24, 24, 64}, 1);
+  EXPECT_EQ(exec::to_string(exec::to_spec(r.best)),
+            "mwd(dw=24,bz=1,tx=1,tz=1,tc=1,groups=1)");
+}
+
+TEST(CalibratedModel, PaperMachineScoresWithThePaperArrays) {
+  // haswell18 has no calibration: Eq. 11 keeps the paper's 40 arrays.
+  exec::MwdParams p;
+  p.dw = 8;
+  p.bz = 2;
+  p.num_tgs = 3;
+  const Candidate paper = tune::score_candidate(p, {128, 128, 128}, models::haswell18());
+  const Candidate host = tune::score_candidate(p, {128, 128, 128}, calibrated_xeon());
+  EXPECT_DOUBLE_EQ(paper.cache_bytes, models::cache_block_bytes(8, 2, 128) * 3);
+  EXPECT_DOUBLE_EQ(host.cache_bytes,
+                   models::cache_block_bytes(8, 2, 128, models::kEngineArrays) * 3);
+  EXPECT_LT(host.model_bpl, paper.model_bpl);
 }
 
 TEST(Autotune, TimedRefinementRunsAndSelects) {
