@@ -111,7 +111,7 @@ def gate_bench_overhead(args):
         run_to_completion(cmd, csv_path + ".log")
         with open(csv_path, newline="") as fh:
             rows = list(csvmod.DictReader(fh))
-        return {(r["inner"], r["shards"], r["overlap"]): float(r["seconds"])
+        return {(r["inner"], r["shards"], r["transport"]): float(r["seconds"])
                 for r in rows}
 
     every = max(1, args.bench_steps // 10)

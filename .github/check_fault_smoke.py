@@ -22,9 +22,9 @@ timing.  Sequence:
      job<i>.ckpt.bad, the job restarted from scratch, and the CSV again
      byte-identical;
   5. shm sweep: the same sweep over the shared-memory ring transport
-     (transport=shm), barrier and overlap modes, no faults: the CSV is
-     observables-only, so both must be byte-identical to the baseline;
-  6. shm chaos: the overlap shm sweep bombarded with transport faults
+     (transport=shm), no faults: the CSV is observables-only, so it must be
+     byte-identical to the baseline;
+  6. shm chaos: the shm sweep bombarded with transport faults
      (transport.stage throws mid-protocol, transport.shm.torn simulates a
      torn ring slot) plus retries and checkpointing: must exit 0 with
      fires > 0 and, again, a byte-identical CSV.
@@ -106,9 +106,6 @@ def main():
     ap.add_argument("--shm-engine",
                     default="sharded(shards=2,interval=2,tps=1,"
                             "transport=shm,inner=naive)")
-    ap.add_argument("--shm-engine-overlap",
-                    default="sharded(shards=2,interval=2,tps=1,"
-                            "transport=shm,overlap,inner=naive)")
     ap.add_argument("--shm-faults",
                     default="transport.stage=every:6*2;"
                             "transport.shm.torn=once:3")
@@ -173,15 +170,12 @@ def main():
     print(f"OK: corrupt {victim} quarantined, job restarted from scratch, "
           f"observables intact")
 
-    # 5. shm transport, no faults: barrier and overlap modes must both
-    # reproduce the baseline observables byte-for-byte.
-    for label, engine in (("barrier", args.shm_engine),
-                          ("overlap", args.shm_engine_overlap)):
-        csv_path = f"FAULT_shm_{label}.csv"
-        run(sweep_cmd(args, csv_path, engine=engine),
-            f"FAULT_shm_{label}.log")
-        require_identical("FAULT_baseline.csv", csv_path,
-                          f"shm {label} vs baseline")
+    # 5. shm transport, no faults: must reproduce the baseline observables
+    # byte-for-byte.
+    run(sweep_cmd(args, "FAULT_shm.csv", engine=args.shm_engine),
+        "FAULT_shm.log")
+    require_identical("FAULT_baseline.csv", "FAULT_shm.csv",
+                      "shm vs baseline")
 
     # 6. shm chaos: transport.stage throws mid-protocol and
     # transport.shm.torn fires inside unstage; retries plus checkpoint
@@ -191,7 +185,7 @@ def main():
         shutil.rmtree(shm_workdir)
     os.makedirs(shm_workdir)
     run(sweep_cmd(args, "FAULT_shm_chaos.csv", ckpt_dir=shm_workdir,
-                  retries=4, engine=args.shm_engine_overlap),
+                  retries=4, engine=args.shm_engine),
         "FAULT_shm_chaos.log",
         env={"EMWD_FAULTS": args.shm_faults, "EMWD_FAULT_SEED": args.seed})
     require_identical("FAULT_baseline.csv", "FAULT_shm_chaos.csv",

@@ -88,7 +88,7 @@ def check_trace(sweep_bin, trace_path):
             done.append((begin, end))
 
     names = {ev["name"] for ev in events}
-    for required in ("engine.run", "halo.exchange", "sched.job"):
+    for required in ("engine.run", "halo.post", "halo.wait", "sched.job"):
         if required not in names:
             fail(f"trace lacks {required} spans (layers present: "
                  f"{sorted({n.split('.')[0] for n in names})})")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Gate the shard-scaling smoke CSV written by bench_shard_scaling --csv.
 
-Two families of checks:
+Two checks:
 
 1. Redundant-LUP regression.  With K shards and exchange interval T, every
    interior cut adds 2*T ghost planes of recompute per round, so the
@@ -11,23 +11,13 @@ Two families of checks:
    exchange interval requires — which exit-status-only checks would never
    catch.
 
-2. Overlap-protocol gates.  The bench emits every multi-shard point twice
-   (overlap column 0 = barrier exchange, 1 = post/wait protocol).  The
-   overlapped rows must (a) not be slower in wall time than their barrier
-   twins beyond --max-slower-pct (scheduling noise allowance), and (b) show
-   a strictly lower AGGREGATE exposed-halo time (wait + copy - hidden,
-   summed over the gated rows) — the whole point of the protocol is
-   shrinking the exchange stall on the critical path.
+2. Transport coverage (--require-transport NAME).  Rows must exist for the
+   named halo transport, and every multi-shard row of it must have moved a
+   nonzero staged payload through the transport's stage path.
 
-   The wall-time gate skips rows with shards x threads/shard beyond
-   --gate-max-threads: those points deliberately oversubscribe the bench's
-   thread budget, where wall time measures scheduler pressure rather than
-   the exchange protocol, which makes a hard threshold flaky on shared CI
-   runners.  The exposed-halo aggregate spans ALL twin pairs — the bench
-   reports each point's minimum-exposed repeat (the floor reflects the
-   protocol's structure, spikes reflect the scheduler), and the
-   oversubscribed points are where the pairwise protocol's advantage over
-   the global barrier is largest.
+The bench emits one row per (inner, K, transport); every multi-shard row
+runs the one post/wait exchange protocol, so there is no second protocol to
+compare against.
 """
 import argparse
 import csv
@@ -44,7 +34,7 @@ def check_redundant(rows, shards, max_redundant_pct):
         checked += 1
         worst = max(worst, pct)
         print(
-            f"{row['inner']}: K={row['shards']} overlap={row.get('overlap', '0')} "
+            f"{row['inner']}: K={row['shards']} transport={row.get('transport', 'local')} "
             f"redundant LUP {pct:.3f}% (threshold {max_redundant_pct}%)"
         )
         if pct > max_redundant_pct:
@@ -57,94 +47,20 @@ def check_redundant(rows, shards, max_redundant_pct):
     return True
 
 
-def check_overlap(rows, max_slower_pct, max_exposed_ratio, gate_max_threads):
-    # The bench emits a barrier row once per (inner, K) — staging only
-    # happens in overlap mode, so barrier rows are transport-independent —
-    # and one overlap row per (inner, K, transport).  Every overlap row is
-    # gated against that shared barrier twin.
-    barriers = {}
-    overlaps = {}
-    for row in rows:
-        if int(row["shards"]) <= 1:
-            continue
-        transport = row.get("transport", "local")
-        if row["overlap"] == "1":
-            overlaps[(row["inner"], int(row["shards"]), transport)] = row
-        else:
-            barriers.setdefault((row["inner"], int(row["shards"])), row)
-
-    if not barriers and not overlaps:
-        print("FAIL: no multi-shard rows to compare", file=sys.stderr)
-        return False
-
-    exposed_barrier = 0.0
-    exposed_overlap = 0.0
-    compared = 0
-    ok = True
-    for key, ovl in sorted(overlaps.items()):
-        bar = barriers.get((key[0], key[1]))
-        if bar is None:
-            print(f"FAIL: {key} missing its barrier twin", file=sys.stderr)
-            ok = False
-            continue
-        total_threads = key[1] * int(bar["threads/shard"])
-        wall_gated = gate_max_threads <= 0 or total_threads <= gate_max_threads
-        wall_bar = float(bar["seconds"])
-        wall_ovl = float(ovl["seconds"])
-        slower_pct = 100.0 * (wall_ovl - wall_bar) / wall_bar if wall_bar > 0 else 0.0
-        print(
-            f"{key[0]}: K={key[1]} transport={key[2]} "
-            f"wall barrier={wall_bar:.4f}s overlap={wall_ovl:.4f}s "
-            f"({slower_pct:+.1f}%), exposed barrier={float(bar['halo exposed s']):.4f}s "
-            f"overlap={float(ovl['halo exposed s']):.4f}s, "
-            f"hidden={float(ovl['halo hidden s']):.5f}s"
-            + ("" if wall_gated else "  [oversubscribed: wall time informational]")
-        )
-        compared += 1
-        exposed_barrier += float(bar["halo exposed s"])
-        exposed_overlap += float(ovl["halo exposed s"])
-        if wall_gated and slower_pct > max_slower_pct:
-            print(
-                f"FAIL: overlapped run slower than barrier by {slower_pct:.1f}% "
-                f"(> {max_slower_pct}%)",
-                file=sys.stderr,
-            )
-            ok = False
-
-    if not compared:
-        print("FAIL: no complete twin pairs to compare", file=sys.stderr)
-        return False
-    ratio = exposed_overlap / exposed_barrier if exposed_barrier > 0 else 1.0
-    print(
-        f"aggregate exposed halo over {compared} pair(s): "
-        f"barrier={exposed_barrier:.4f}s overlap={exposed_overlap:.4f}s "
-        f"ratio={ratio:.3f} (threshold {max_exposed_ratio})"
-    )
-    if ratio >= max_exposed_ratio:
-        print(
-            "FAIL: overlapped exchange did not lower the aggregate exposed-halo time",
-            file=sys.stderr,
-        )
-        ok = False
-    if ok:
-        print("OK: overlap gates passed")
-    return ok
-
-
 def check_transport(rows, name):
-    """Require rows for the named halo transport and, on its overlap rows,
-    nonzero staged payload — proof the bytes actually went through the
-    transport's stage path rather than silently falling back."""
+    """Require rows for the named halo transport and, on its multi-shard
+    rows, nonzero staged payload — proof the bytes actually went through
+    the transport's stage path rather than silently falling back."""
     seen = 0
-    overlap_rows = 0
+    multi_shard_rows = 0
     ok = True
     for row in rows:
         if row.get("transport", "local") != name:
             continue
         seen += 1
-        if row.get("overlap") != "1":
+        if int(row["shards"]) <= 1:
             continue
-        overlap_rows += 1
+        multi_shard_rows += 1
         staged_mb = float(row.get("staged MB", "0") or "0")
         print(
             f"{row['inner']}: K={row['shards']} transport={name} "
@@ -153,17 +69,21 @@ def check_transport(rows, name):
         )
         if staged_mb <= 0.0:
             print(
-                f"FAIL: transport={name} overlap row staged no bytes", file=sys.stderr
+                f"FAIL: transport={name} multi-shard row staged no bytes",
+                file=sys.stderr,
             )
             ok = False
     if seen == 0:
         print(f"FAIL: no rows ran transport={name}", file=sys.stderr)
         return False
-    if overlap_rows == 0:
-        print(f"FAIL: no overlap rows ran transport={name}", file=sys.stderr)
+    if multi_shard_rows == 0:
+        print(f"FAIL: no multi-shard rows ran transport={name}", file=sys.stderr)
         return False
     if ok:
-        print(f"OK: {overlap_rows} overlap row(s) moved bytes over transport={name}")
+        print(
+            f"OK: {multi_shard_rows} multi-shard row(s) moved bytes over "
+            f"transport={name}"
+        )
     return ok
 
 
@@ -173,36 +93,11 @@ def main() -> int:
     ap.add_argument("--shards", type=int, default=2, help="shard-count rows to check")
     ap.add_argument("--max-redundant-pct", type=float, default=10.0)
     ap.add_argument(
-        "--check-overlap",
-        action="store_true",
-        help="also gate overlapped vs. barrier twins (wall time + exposed halo)",
-    )
-    ap.add_argument(
-        "--max-slower-pct",
-        type=float,
-        default=15.0,
-        help="wall-time regression allowance for an overlapped row vs. its twin",
-    )
-    ap.add_argument(
-        "--max-exposed-ratio",
-        type=float,
-        default=1.0,
-        help="aggregate exposed-halo(overlap)/exposed-halo(barrier) must stay below this",
-    )
-    ap.add_argument(
         "--require-transport",
         default="",
         metavar="NAME",
         help="require rows that ran this halo transport, with nonzero staged "
-        "bytes on its overlap rows (e.g. shm)",
-    )
-    ap.add_argument(
-        "--gate-max-threads",
-        type=int,
-        default=0,
-        help="gate only rows with shards x threads/shard <= this (0 = gate all rows); "
-        "set it to the bench's --threads budget to exclude deliberately "
-        "oversubscribed points",
+        "bytes on its multi-shard rows (e.g. shm)",
     )
     args = ap.parse_args()
 
@@ -212,13 +107,6 @@ def main() -> int:
     ok = check_redundant(rows, args.shards, args.max_redundant_pct)
     if args.require_transport:
         ok = check_transport(rows, args.require_transport) and ok
-    if args.check_overlap:
-        ok = (
-            check_overlap(
-                rows, args.max_slower_pct, args.max_exposed_ratio, args.gate_max_threads
-            )
-            and ok
-        )
     return 0 if ok else 1
 
 

@@ -3,22 +3,21 @@
 // Aggregate MLUP/s vs. z-shard count for naive and MWD inner engines, on
 // one grid with a thread budget split across shards (every shard keeps at
 // least one thread, so K > --threads oversubscribes; the threads/shard
-// column records what each row actually ran).  Every multi-shard point runs
-// twice: with the bulk-synchronous barrier exchange and with the overlapped
-// post/wait protocol, so the table quantifies how much of the exchange
-// stall the overlap hides (halo wait/hidden/exposed columns; the `isa`
-// column records the row-kernel dispatch so a SIMD fallback is visible).
-// On a single-socket host this mostly measures the decomposition overhead;
-// on a multi-socket host the NUMA-local shard placement turns it into a
+// column records what each row actually ran).  One row per (inner, K,
+// transport): the halo wait/hidden/exposed columns show how much of the
+// post/wait exchange stays on the critical path, and the `isa` column
+// records the row-kernel dispatch so a SIMD fallback is visible.  On a
+// single-socket host this mostly measures the decomposition overhead; on a
+// multi-socket host the NUMA-local shard placement turns it into a
 // socket-scaling study.
 //
 // Engines are built from spec strings through the EngineRegistry — the
-// sweep axes (shards, interval, overlap twin) compose a
+// sweep axes (shards, interval, transport) compose a
 // `sharded(shards=K,...,inner=<spec>)` spec per point; the unified
 // --engine flag overrides the default naive/mwd inner pair.
 //
 // --csv writes the table for .github/check_shard_smoke.py; --json writes a
-// machine-readable barrier-vs-overlap record (BENCH_overlap.json in CI).
+// machine-readable record of the same rows.
 #include "common.hpp"
 
 #include <fstream>
@@ -130,7 +129,7 @@ int main(int argc, char** argv) {
   cli.add_flag("checkpoint-every", "snapshot every N steps (async writer)", "0");
   cli.add_flag("checkpoint-dir", "directory for the snapshot files", "");
   cli.add_flag("csv", "also write the table as CSV to this file", "");
-  cli.add_flag("json", "write a barrier-vs-overlap JSON record to this file", "");
+  cli.add_flag("json", "write the rows as a JSON record to this file", "");
   util::add_trace_flags(cli);
   if (!cli.parse(argc, argv)) {
     std::fprintf(stderr, "%s\n", cli.error().c_str());
@@ -156,8 +155,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::vector<long> shard_counts = cli.get_int_list("shards", {1, 2, 4});
-  // Halo transports to sweep: twin rows per (inner, K, overlap) point, so
-  // the CSV/JSON quantify the transport's cost against in-process "local".
+  // Halo transports to sweep: one row per (inner, K, transport), so the
+  // CSV/JSON quantify the transport's cost against in-process "local".
   std::vector<std::string> transports;
   {
     std::string list = cli.get("transports", "local");
@@ -182,7 +181,7 @@ int main(int argc, char** argv) {
   }
 
   banner("bench_shard_scaling",
-         "dist/ subsystem: aggregate MLUP/s vs. z-shard count, barrier vs. overlap");
+         "dist/ subsystem: aggregate MLUP/s vs. z-shard count per halo transport");
   const dist::NumaTopology topo = dist::NumaTopology::detect();
   std::printf("host: %d NUMA node(s), %d thread budget, grid %dx%dx%d, "
               "exchange interval %d, kernel_isa %s\n\n",
@@ -194,27 +193,22 @@ int main(int argc, char** argv) {
       static_cast<std::int64_t>(layout.interior().cells()) * steps;
 
   util::Table t({"inner", "shards", "threads/shard", "MLUP/s", "vs K=1",
-                 "halo MB/exchg", "halo s (thread)", "redundant LUP %", "overlap",
-                 "seconds", "halo wait s", "halo hidden s", "halo exposed s",
+                 "halo MB/exchg", "halo s (thread)", "redundant LUP %", "seconds",
+                 "halo wait s", "halo hidden s", "halo exposed s",
                  "transport", "staged MB", "halo stage s", "halo unstage s", "isa"});
   std::string json_rows;
   io::SnapshotWriter::Stats ckpt_totals;
   for (const std::string& inner : inners) {
     double base_mlups = 0.0;
     for (long k : shard_counts) {
-      for (bool overlap : {false, true}) {
-        if (overlap && k <= 1) continue;  // overlap is a no-op on one shard
-        for (const std::string& transport : transports) {
-        // Staging only happens in overlap mode; a barrier-mode resweep per
-        // transport would duplicate rows whose pulls are identical.  Keep
-        // barrier rows for the baseline transport only.
-        if (!overlap && transport != transports.front()) continue;
+      for (const std::string& transport : transports) {
+        // One shard exchanges nothing: its row would repeat per transport.
+        if (k <= 1 && transport != transports.front()) continue;
         const int tps = std::max(1, threads / std::max(1, static_cast<int>(k)));
         const exec::EngineSpec inner_spec = exec::parse_engine_spec(inner);
         exec::EngineSpec spec;
         spec.kind = "sharded";
         spec.add("shards", k).add("interval", static_cast<long>(interval));
-        if (overlap) spec.add_flag("overlap");
         if (transport != "local") spec.add("transport", transport);
         // Pin the per-shard budget (K > threads oversubscribes on purpose)
         // — except for inner=auto, where the tuner derives it.
@@ -226,8 +220,7 @@ int main(int argc, char** argv) {
         try {
           const std::string ckpt_path =
               ckpt_every > 0 ? ckpt_dir + "/bench_" + inner + "_k" +
-                                   std::to_string(k) + (overlap ? "_ov" : "") +
-                                   "_" + transport + ".ckpt"
+                                   std::to_string(k) + "_" + transport + ".ckpt"
                              : std::string();
           r = run_point(spec, layout, threads, steps, repeats,
                         0x5eedu + static_cast<unsigned>(k), ckpt_every, ckpt_path);
@@ -237,9 +230,7 @@ int main(int argc, char** argv) {
         }
         const exec::EngineStats& st = r.stats;
 
-        if (st.shards == 1 && !overlap && transport == transports.front()) {
-          base_mlups = st.mlups;
-        }
+        if (st.shards == 1 && transport == transports.front()) base_mlups = st.mlups;
         const double redundant_pct =
             useful > 0 ? 100.0 * static_cast<double>(st.lups - useful) /
                              static_cast<double>(useful)
@@ -254,8 +245,8 @@ int main(int argc, char** argv) {
                    base_mlups > 0 ? util::fmt_double(st.mlups / base_mlups, 3) : "-",
                    util::fmt_double(halo_mb_per_exchange, 3),
                    util::fmt_double(st.halo_exchange_seconds, 3),
-                   util::fmt_double(redundant_pct, 3), st.halo_overlapped ? "1" : "0",
-                   util::fmt_double(r.seconds, 6), util::fmt_double(r.halo_wait, 6),
+                   util::fmt_double(redundant_pct, 3), util::fmt_double(r.seconds, 6),
+                   util::fmt_double(r.halo_wait, 6),
                    util::fmt_double(r.halo_hidden, 6),
                    util::fmt_double(r.halo_exposed, 6), transport,
                    util::fmt_double(
@@ -275,7 +266,7 @@ int main(int argc, char** argv) {
         const double halo_total = r.halo_hidden + r.halo_exposed;
         const double hidden_fraction = halo_total > 0.0 ? r.halo_hidden / halo_total : 0.0;
         // Engine-derived fields ride in the canonical EngineStats::to_json
-        // object (shards, overlap, mlups, the halo byte/time family, the
+        // object (shards, mlups, the halo byte/time family, the
         // transport and isa); only the bench's own axes and the
         // min-exposed-repeat halo columns stay hand-rolled.
         if (!json_rows.empty()) json_rows += ",\n";
@@ -288,7 +279,6 @@ int main(int argc, char** argv) {
                      ", \"hidden_fraction\": " + json_escape_free(hidden_fraction) +
                      ", \"transport\": \"" + transport + "\"" +
                      ", \"stats\": " + st.to_json() + '}';
-        }
       }
     }
   }

@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   cli.add_flag("repeats", "timed repetitions per plan (best wins)", "2");
   cli.add_flag("min-shard-planes", "smallest owned z-block worth sharding", "8");
   // The unified --engine flag pins search axes: a `sharded(...)` spec's
-  // shards / interval / overlap arguments become fixed_* pins; the bare
-  // default searches every axis.
+  // shards / interval arguments become fixed_* pins; the bare default
+  // searches every axis.
   emwd::bench::add_engine_flag(cli, "sharded");
   cli.add_flag("csv", "write the per-candidate table to this file", "");
   cli.add_flag("max-gap-pct", "exit non-zero when chosen-vs-best gap exceeds this", "");
@@ -71,14 +71,13 @@ int main(int argc, char** argv) {
   // with tps=/inner=, or a typo like shard=) must fail loudly, not be
   // silently dropped — a full plan runs via driver/bench_shard_scaling.
   try {
-    static const char* const pin_keys[] = {"shards", "interval", "overlap", nullptr};
+    static const char* const pin_keys[] = {"shards", "interval", nullptr};
     exec::detail::check_spec_keys(pin, pin_keys);
     cfg.fixed_shards = static_cast<int>(std::max(0L, pin.get_int("shards", 0)));
     cfg.fixed_interval = static_cast<int>(std::max(0L, pin.get_int("interval", 0)));
-    if (pin.has("overlap")) cfg.fixed_overlap = pin.get_bool("overlap", false) ? 1 : 0;
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr,
-                 "bad --engine: %s\n(only shards/interval/overlap pin this "
+                 "bad --engine: %s\n(only shards/interval pin this "
                  "bench's search; run a full plan spec via driver or "
                  "bench_shard_scaling)\n",
                  e.what());

@@ -76,10 +76,9 @@ int main(int argc, char** argv) {
 
   const exec::EngineStats& st = sharded.stats;
   std::printf("\nspec run: %d shard(s), halo %.2f MiB moved, %.3f thread-s "
-              "exchanging, %s exchange, isa %s\n",
+              "exchanging, isa %s\n",
               st.shards, static_cast<double>(st.halo_bytes_moved) / (1024.0 * 1024.0),
-              st.halo_exchange_seconds, st.halo_overlapped ? "overlapped" : "barrier",
-              st.kernel_isa);
+              st.halo_exchange_seconds, st.kernel_isa);
   const double diff = std::abs(plain.energy - sharded.energy);
   std::printf("energy difference vs naive: %.3e %s\n", diff,
               diff == 0.0 ? "(bit-identical)" : "");

@@ -43,46 +43,6 @@ HaloExchange::HaloExchange(const Partitioner& part,
   }
 }
 
-void HaloExchange::pull_lo(int s) {
-  const ShardExtent& e = part_.shard(s);
-  const ShardExtent& n = part_.shard(s - 1);
-  grid::FieldSet& mine = *shards_.at(static_cast<std::size_t>(s));
-  const grid::FieldSet& theirs = *shards_[static_cast<std::size_t>(s - 1)];
-  transport_->pull_planes(mine, theirs, n.to_local(e.z0 - e.lo),
-                          e.to_local(e.z0 - e.lo), e.lo);
-}
-
-void HaloExchange::pull_hi(int s) {
-  const ShardExtent& e = part_.shard(s);
-  const ShardExtent& n = part_.shard(s + 1);
-  grid::FieldSet& mine = *shards_.at(static_cast<std::size_t>(s));
-  const grid::FieldSet& theirs = *shards_[static_cast<std::size_t>(s + 1)];
-  transport_->pull_planes(mine, theirs, n.to_local(e.z1), e.to_local(e.z1), e.hi);
-}
-
-void HaloExchange::exchange_for(int s) {
-  OBS_SPAN("halo.exchange", s);
-  const ShardExtent& e = part_.shard(s);
-  exec::EngineStats& st = stats_[static_cast<std::size_t>(s)];
-  util::Timer timer;
-  std::int64_t planes = 0;
-
-  if (e.lo > 0) {  // ghost planes below come from the lower neighbor
-    pull_lo(s);
-    planes += e.lo;
-  }
-  if (e.hi > 0) {  // ghost planes above come from the upper neighbor
-    pull_hi(s);
-    planes += e.hi;
-  }
-
-  const std::int64_t plane_bytes =
-      static_cast<std::int64_t>(
-          shards_[static_cast<std::size_t>(s)]->layout().stride_z()) * 16;  // complex cells
-  st.halo_bytes_moved += planes * kernels::kNumComps * plane_bytes;
-  st.halo_exchange_seconds += timer.seconds();
-}
-
 void HaloExchange::reset_flow() {
   for (auto& c : posted_) c.v.store(0, std::memory_order_relaxed);
   for (auto& c : consumed_lo_) c.v.store(0, std::memory_order_relaxed);

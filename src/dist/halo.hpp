@@ -1,35 +1,23 @@
 // Halo exchange between neighboring z-shards.
 //
-// Shared-memory formulation of the classic ghost-zone swap: every
-// `exchange_interval` steps, each shard PULLS its overlap planes of all 12
-// field arrays from the neighbor that owns them.  Pulls read only the
-// neighbors' owned (exact) planes and write only the puller's own ghost
-// planes.  Pulling (rather than pushing) also writes into the puller's
-// NUMA-local memory.
-//
-// Two synchronization styles drive the same plane copies:
-//
-//   * exchange_for(s): the original bulk-synchronous form.  Must run
-//     between two full-stop barriers (no shard may be stepping
-//     concurrently); all shards may then pull concurrently with no
-//     per-pair synchronization.
-//
-//   * post(s, round) / wait(s, round): the overlapped pairwise protocol
-//     (see src/dist/README.md for the full contract).  post() stages the
-//     shard's donated boundary planes into per-side export buffers — a
-//     buffered send, exactly MPI_Isend's semantics — and publishes the
-//     round; the shard then computes on, free to overwrite its live
-//     planes.  wait() pulls each ghost side out of the owning neighbor's
-//     export buffer as soon as THAT neighbor has posted (opportunistic
-//     order — copying one side while the other neighbor is still
-//     computing is the hidden fraction) and acknowledges consumption so
-//     the buffer can be reused one round later.  All ordering is carried
-//     by per-shard monotonic round counters with acquire/release
-//     semantics; there is no global synchronization and no
-//     acknowledgement on the critical path, so distant shards never
-//     stall each other and a shard may run a full round ahead of a slow
-//     neighbor.  An MPI backend implements the same contract with
-//     Isend (post) and Irecv+Wait (wait) of the identical plane ranges.
+// The classic ghost-zone swap as the MPI code does it — pack, send,
+// receive, unpack: every `exchange_interval` steps each shard refreshes its
+// overlap planes of all 12 field arrays from the neighbors that own them,
+// through the pairwise post/wait protocol (see src/dist/README.md for the
+// full contract).  post() stages the shard's donated boundary planes into
+// per-side export buffers — a buffered send, exactly MPI_Isend's semantics
+// — and publishes the round; the shard is then free to overwrite its live
+// planes.  wait() pulls each ghost side out of the owning neighbor's export
+// buffer as soon as THAT neighbor has posted (opportunistic order — copying
+// one side while the other neighbor is still computing is the hidden
+// fraction) and acknowledges consumption so the buffer can be reused one
+// round later.  Unstaging writes only the consumer's own ghost planes, in
+// its NUMA-local memory.  All ordering is carried by per-shard monotonic
+// round counters with acquire/release semantics; there is no global
+// synchronization and no acknowledgement on the critical path, so distant
+// shards never stall each other and a shard may run a full round ahead of
+// a slow neighbor.  An MPI backend implements the same contract with Isend
+// (post) and Irecv+Wait (wait) of the identical plane ranges.
 #pragma once
 
 #include <atomic>
@@ -48,20 +36,13 @@ class HaloExchange {
  public:
   /// `shard_sets[s]` must outlive the exchanger and use part.shard_layout(s).
   /// All plane motion routes through `transport` (see transport.hpp); null
-  /// defaults to the shared-memory LocalTransport, which reproduces the
-  /// pre-seam exchange bit-exactly.
+  /// defaults to the in-process LocalTransport.
   HaloExchange(const Partitioner& part, std::vector<grid::FieldSet*> shard_sets,
                std::unique_ptr<Transport> transport = nullptr);
 
-  /// Refresh shard `s`'s ghost planes from its neighbors' owned planes.
-  /// Must run between barriers (no shard may be stepping concurrently).
-  void exchange_for(int s);
-
-  // ------------------------------------------- overlapped post/wait protocol
-
   /// Reset the per-run round counters and (lazily) allocate the export
-  /// buffers.  Call once per overlapped run, before any shard thread
-  /// starts (single-threaded).
+  /// buffers.  Call once per run, before any shard thread starts
+  /// (single-threaded).
   void reset_flow();
 
   /// Publish shard `s`'s donated boundary planes as round `round`'s final
@@ -87,10 +68,9 @@ class HaloExchange {
 
   /// Shard `s`'s exchange counters since the last take_stats(), in the
   /// `halo_*` fields of exec::EngineStats (every other field stays zero):
-  /// copy seconds and payload bytes of exchange_for and of the post/wait
-  /// protocol, wait and hidden seconds of the overlapped protocol, and the
-  /// transport's staged/unstaged bytes and seconds.  Only the thread
-  /// exchanging for shard `s` writes it: read it there or after a join.
+  /// copy, wait and hidden seconds, payload bytes, and the transport's
+  /// staged/unstaged bytes and seconds.  Only the thread exchanging for
+  /// shard `s` writes it: read it there or after a join.
   const exec::EngineStats& stats(int s) const {
     return stats_.at(static_cast<std::size_t>(s));
   }
@@ -109,16 +89,13 @@ class HaloExchange {
   static std::int64_t bytes_per_exchange(const Partitioner& part);
 
   /// Largest per-shard payload of one exchange episode: the copy bytes on a
-  /// single shard's critical path under the overlapped protocol, where
-  /// pulls proceed pairwise instead of at a global stop.
+  /// single shard's critical path, since pulls proceed pairwise instead of
+  /// at a global stop.
   static std::int64_t max_shard_bytes_per_exchange(const Partitioner& part);
 
   const Transport& transport() const { return *transport_; }
 
  private:
-  void pull_lo(int s);
-  void pull_hi(int s);
-
   /// One cache line per counter: the protocol spins on neighbors' counters
   /// while owners advance their own.
   struct alignas(64) RoundCounter {

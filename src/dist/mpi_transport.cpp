@@ -37,12 +37,6 @@ class MpiTransport final : public Transport {
 
   std::string name() const override { return "mpi"; }
 
-  void pull_planes(grid::FieldSet&, const grid::FieldSet&, int, int, int) override {
-    throw std::runtime_error(
-        "mpi transport: barrier-mode pull_planes assumes a shared address "
-        "space; use the staged protocol (overlap mode) across ranks");
-  }
-
   void stage(const grid::FieldSet& src, HaloBuffer& buf) override {
     fault::maybe_fail("transport.stage");
     require_channel(buf);

@@ -18,11 +18,11 @@
 //                                 HaloExchange::wait's opportunistic
 //                                 ordering degenerates to program order
 //                                 when each shard is alone in its process.
-//   pull_planes(...)           -> throws: barrier-mode direct reads assume
-//                                 a shared address space.  MPI runs must
-//                                 use the staged (overlap) protocol — or a
-//                                 driver like examples/mpi_sharded_demo.cpp
-//                                 that drives stage/unstage itself.
+//
+// The sharded engine's post/wait round loop is the only exchange protocol,
+// so an MPI run needs nothing else from the seam; a driver like
+// examples/mpi_sharded_demo.cpp drives stage/unstage itself, one rank per
+// shard.
 //
 // Tags encode the channel as src * kTagStride + dst so the two directions
 // of a neighbor pair never cross.  Construction requires MPI_Initialized:

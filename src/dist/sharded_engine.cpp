@@ -28,8 +28,7 @@ std::string ShardedParams::describe() const {
       os << ",inner" << i << "=" << exec::to_string(inners[i]);
     }
   }
-  os << ",tps=" << threads_per_shard << (numa_bind ? ",numa" : "")
-     << (overlap ? ",overlap" : "");
+  os << ",tps=" << threads_per_shard << (numa_bind ? ",numa" : "");
   if (transport != "local") os << ",transport=" << transport;
   os << "}";
   return os.str();
@@ -118,25 +117,6 @@ class ShardedEngine final : public exec::Engine {
     });
     st->halo =
         std::make_unique<HaloExchange>(*st->part, st->ptrs, make_transport(p_.transport));
-
-    // Overlapped exchange: thread the per-round halo wait through each inner
-    // engine's run prologue.  Engines that honor the prologue (naive,
-    // spatial, mwd) run the handshake inside their parallel region — the MWD
-    // engine gates its boundary tiles on it while workers park on the tile
-    // queue; engines that do not (wavefront, wrapper and test inners) get
-    // the wait run inline by the shard thread instead (see run()).
-    if (p_.overlap && K > 1) {
-      st->flows.resize(static_cast<std::size_t>(K));
-      HaloExchange* halo = st->halo.get();
-      for (int s = 0; s < K; ++s) {
-        exec::Engine& inner = *st->inners[static_cast<std::size_t>(s)];
-        if (!inner.supports_run_prologue()) continue;
-        ShardFlow* flow = &st->flows[static_cast<std::size_t>(s)];
-        inner.set_run_prologue([halo, s, flow] {
-          if (flow->wait_round > 0) halo->wait(s, flow->wait_round);
-        });
-      }
-    }
     prepared_ = std::move(st);
   }
 
@@ -146,23 +126,19 @@ class ShardedEngine final : public exec::Engine {
     PreparedState& st = *prepared_;
     const Partitioner& part = *st.part;
     const int K = part.num_shards();
-    const bool overlapped = p_.overlap && K > 1;
 
     std::vector<exec::EngineStats> shard_work(static_cast<std::size_t>(K));
     util::SpinBarrier barrier(K);
-    if (overlapped) {
-      st.halo->reset_flow();  // single-threaded: no shard thread is running yet
-      for (ShardFlow& flow : st.flows) flow.wait_round = 0;
-    }
+    st.halo->reset_flow();  // single-threaded: no shard thread is running yet
 
-    // Failure protocol: a shard that throws (scatter, inner step or halo
-    // pull) records the first exception, raises `failed`, and keeps walking
-    // the SAME round schedule as everyone else with the work skipped — the
-    // schedule depends only on `steps`.  In barrier mode that means every
-    // barrier is still reached; in overlap mode every post/wait counter of
-    // the failed shard still advances (HaloExchange::wait's drain form), so
-    // no neighbor can be left spinning on it.  The exception is rethrown on
-    // the caller once every shard thread has joined.
+    // Failure protocol: a shard that throws (scatter, halo wait, inner step
+    // or halo post) records the first exception, raises `failed`, and keeps
+    // walking the SAME round schedule as everyone else with the work
+    // skipped — the schedule depends only on `steps`.  Every post/wait
+    // counter of the failed shard still advances (the drain form of
+    // HaloExchange::post/wait), so no neighbor can be left spinning on it.
+    // The exception is rethrown on the caller once every shard thread has
+    // joined.
     std::atomic<bool> failed{false};
     std::exception_ptr first_error;
     std::mutex error_mu;
@@ -185,18 +161,11 @@ class ShardedEngine final : public exec::Engine {
       } catch (...) {
         record_failure();
       }
-      // Startup: all shards finish scattering before anyone's first round
-      // (and, in barrier mode, before anyone's first exchange could read a
-      // neighbor's owned planes).  This barrier stays in overlap mode too —
+      // Startup: all shards finish scattering before anyone's first round;
       // the pairwise protocol begins only after it.
       barrier.arrive_and_wait();
 
-      if (overlapped) {
-        run_shard_overlapped(st, s, steps, inner, local, work, failed, record_failure);
-      } else {
-        run_shard_barriered(st, s, steps, inner, local, work, barrier, failed,
-                            record_failure);
-      }
+      run_rounds(*st.halo, s, steps, inner, local, work, failed, record_failure);
 
       // Owned plane ranges are disjoint, so shards gather concurrently.
       if (!failed.load(std::memory_order_acquire)) part.gather(local, fs, s);
@@ -210,82 +179,26 @@ class ShardedEngine final : public exec::Engine {
     stats_ = exec::EngineStats{};
     if (first_error) std::rethrow_exception(first_error);
 
-    // Barrier-mode waits were accumulated per shard into shard_work; the
-    // exchanger holds the copies and the overlap-mode waits.  The two
-    // sources never count the same stall.
+    // shard_work holds the inners' counters; the exchanger holds the halo's.
     for (const auto& work : shard_work) exec::accumulate_work(stats_, work);
     exec::accumulate_work(stats_, halo);
     stats_.seconds = seconds;
     stats_.steps = steps;
     stats_.shards = K;
-    stats_.halo_overlapped = overlapped;
     stats_.halo_transport = p_.transport;
     stats_.mlups = util::mlups(static_cast<std::int64_t>(L.interior().cells()), steps,
                                stats_.seconds);
   }
 
  private:
-  struct PreparedState;
-
-  /// Per-shard state of the overlapped protocol: which round's exchange the
-  /// inner engine's prologue must acquire before computing (0 = none, i.e.
-  /// the first round).  Written by the shard thread between inner runs and
-  /// read by the prologue on that same thread (ThreadTeam's tid 0 is the
-  /// caller), so no atomicity is needed.
-  struct ShardFlow {
-    std::int64_t wait_round = 0;
-  };
-
-  /// Original bulk-synchronous round loop: all shards stop at a barrier,
-  /// pull concurrently, stop again.  The barrier waits around the exchange
-  /// are timed into `work.halo_wait_seconds` — that is the exchange stall
-  /// the overlapped mode exists to shrink.
-  void run_shard_barriered(PreparedState& st, int s, int steps, exec::Engine& inner,
-                           grid::FieldSet& local, exec::EngineStats& work,
-                           util::SpinBarrier& barrier, std::atomic<bool>& failed,
-                           const std::function<void()>& record_failure) {
-    int remaining = steps;
-    while (remaining > 0) {
-      const int chunk = std::min(p_.exchange_interval, remaining);
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          inner.run(local, chunk);
-          exec::accumulate_work(work, inner.stats());
-        } catch (...) {
-          record_failure();
-        }
-      }
-      remaining -= chunk;
-      if (remaining == 0) break;
-      // All shards finished the round before anyone reads owned planes.
-      const double copy_before = st.halo->stats(s).halo_exchange_seconds;
-      util::Timer wait_timer;
-      barrier.arrive_and_wait();
-      if (!failed.load(std::memory_order_acquire)) {
-        try {
-          st.halo->exchange_for(s);
-        } catch (...) {
-          record_failure();
-        }
-      }
-      barrier.arrive_and_wait();
-      const double copied = st.halo->stats(s).halo_exchange_seconds - copy_before;
-      work.halo_wait_seconds += std::max(0.0, wait_timer.seconds() - copied);
-    }
-  }
-
-  /// Overlapped round loop (the post/wait protocol, see halo.hpp): after a
-  /// round, a shard posts its planes and moves straight into the next
-  /// round; the halo wait runs as the inner engine's prologue — inside its
-  /// parallel region, gating only the exchange-coupled boundary tiles for
-  /// the MWD inner.  A shard therefore synchronizes with its <= 2 neighbors
-  /// only, and never at a full stop.
-  void run_shard_overlapped(PreparedState& st, int s, int steps, exec::Engine& inner,
-                            grid::FieldSet& local, exec::EngineStats& work,
-                            std::atomic<bool>& failed,
-                            const std::function<void()>& record_failure) {
-    const bool inner_gates = inner.supports_run_prologue();
-    ShardFlow& flow = st.flows[static_cast<std::size_t>(s)];
+  /// One shard's round loop (the post/wait protocol, see halo.hpp): wait
+  /// for the previous round's ghost planes, run the inner engine for one
+  /// round, post this round's boundary planes.  A shard synchronizes with
+  /// its <= 2 neighbors only, and never at a full stop.
+  void run_rounds(HaloExchange& halo, int s, int steps, exec::Engine& inner,
+                  grid::FieldSet& local, exec::EngineStats& work,
+                  std::atomic<bool>& failed,
+                  const std::function<void()>& record_failure) {
     std::int64_t round = 0;
     int remaining = steps;
     while (remaining > 0) {
@@ -293,20 +206,18 @@ class ShardedEngine final : public exec::Engine {
       ++round;
       if (!failed.load(std::memory_order_acquire)) {
         try {
-          flow.wait_round = round - 1;
-          if (!inner_gates && round > 1) st.halo->wait(s, round - 1);
+          if (round > 1) halo.wait(s, round - 1);
           inner.run(local, chunk);
           exec::accumulate_work(work, inner.stats());
         } catch (...) {
           record_failure();
-          // The prologue may have died between its two pulls (or never
-          // run): the drain form completes this round's counters without
-          // touching planes, so neighbors cannot stall on us.
-          if (round > 1) st.halo->wait(s, round - 1, /*drain=*/true);
         }
-      } else if (round > 1) {
-        st.halo->wait(s, round - 1, /*drain=*/true);
       }
+      // A wait that was skipped, or died between its two pulls, completes
+      // here in drain form: the counters advance without touching planes,
+      // so neighbors cannot stall on us.  After a clean wait this is a
+      // no-op (wait is idempotent per round).
+      if (round > 1) halo.wait(s, round - 1, /*drain=*/true);
       remaining -= chunk;
       if (remaining == 0) break;
       // Publish this round's planes — in drain form once the run is
@@ -315,10 +226,10 @@ class ShardedEngine final : public exec::Engine {
       // it and re-post in drain form — post is idempotent per round, so
       // the counter still advances and neighbors never stall on us.
       try {
-        st.halo->post(s, round, failed.load(std::memory_order_acquire));
+        halo.post(s, round, failed.load(std::memory_order_acquire));
       } catch (...) {
         record_failure();
-        st.halo->post(s, round, /*drain=*/true);
+        halo.post(s, round, /*drain=*/true);
       }
     }
   }
@@ -332,7 +243,6 @@ class ShardedEngine final : public exec::Engine {
     std::vector<grid::FieldSet*> ptrs;
     std::vector<std::unique_ptr<exec::Engine>> inners;
     std::unique_ptr<HaloExchange> halo;
-    std::vector<ShardFlow> flows;  // overlap mode only (empty otherwise)
   };
 
   ShardedParams p_;

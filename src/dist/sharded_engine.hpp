@@ -5,9 +5,11 @@
 // assigned NUMA node and advanced by its own inner Engine, built from an
 // engine spec through the registry — any registered kind works unmodified
 // because the overlap-zone scheme (see partition.hpp) only requires the
-// inner engine to be exact on its extended sub-domain.  Every
-// `exchange_interval` steps all shards synchronize and pull fresh ghost
-// planes from their neighbors.
+// inner engine to be exact on its extended sub-domain.  Each shard thread
+// runs one round loop: wait for the previous round's ghost planes, run the
+// inner engine for `exchange_interval` steps, post its boundary planes (the
+// post/wait protocol of halo.hpp).  Shards synchronize only pairwise, with
+// their <= 2 neighbors.
 //
 // Results are bit-identical to the same inner engine on the undecomposed
 // grid; the gain is multi-socket memory locality and, for thin or very
@@ -28,15 +30,6 @@ struct ShardedParams {
   int exchange_interval = 1; // steps between halo exchanges == overlap depth
   int threads_per_shard = 1;
   bool numa_bind = true;     // pin shard teams to NUMA nodes (no-op on 1 node)
-  /// Overlapped exchange: replace the two full-stop barriers of each
-  /// exchange round with the pairwise post/wait protocol (see halo.hpp and
-  /// src/dist/README.md) — a shard publishes its boundary planes the moment
-  /// its round finishes and synchronizes only with its <= 2 neighbors, so
-  /// exchange stalls no longer propagate across the whole shard set and
-  /// one side's copy hides behind the other neighbor's compute.  Results
-  /// stay bit-identical: only the ordering of independent work changes.
-  /// No effect with a single (clamped) shard.
-  bool overlap = false;
   /// Inner engine specs.  One entry runs on every shard; with several,
   /// shard s runs inners[min(s, size-1)], so uneven shards (PML-heavy
   /// boundary blocks, remainder planes) can each run their own tuned
@@ -72,10 +65,11 @@ struct ShardedParams {
 /// redundant ghost-plane updates), while `mlups` is useful throughput —
 /// global interior cells * steps / wall seconds.  `shards`,
 /// `halo_exchange_seconds` and `halo_bytes_moved` describe the exchange.
-/// If an inner engine throws in any shard, the remaining shards drain their
-/// barrier schedule and finish the run as a no-op; the first exception is
-/// rethrown on the caller after every shard thread has joined (the global
-/// FieldSet's field values are unspecified in that case).
+/// If an inner engine or a halo call throws in any shard, every shard walks
+/// the rest of the round schedule in drain form and finishes the run as a
+/// no-op; the first exception is rethrown on the caller after every shard
+/// thread has joined (the global FieldSet's field values are unspecified in
+/// that case).
 std::unique_ptr<exec::Engine> make_sharded_engine(const ShardedParams& params);
 
 }  // namespace emwd::dist

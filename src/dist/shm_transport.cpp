@@ -78,13 +78,6 @@ ShmTransport::ShmTransport()
 
 ShmTransport::~ShmTransport() = default;
 
-void ShmTransport::pull_planes(grid::FieldSet& dst, const grid::FieldSet& src,
-                               int src_k0, int dst_k0, int planes) {
-  // Barrier-mode pulls run between full stops inside one address space, so
-  // the direct neighbor read is both legal and the zero-copy optimum.
-  dst.copy_field_planes_from(src, src_k0, dst_k0, planes);
-}
-
 ShmTransport::Channel& ShmTransport::channel_for(const HaloBuffer& buf,
                                                  std::size_t payload_bytes) {
   if (buf.src_shard < 0 || buf.dst_shard < 0) {

@@ -89,8 +89,6 @@ class ShmTransport final : public Transport {
   std::string name() const override { return "shm"; }
   bool wants_buffer_storage() const override { return false; }
 
-  void pull_planes(grid::FieldSet& dst, const grid::FieldSet& src, int src_k0,
-                   int dst_k0, int planes) override;
   void stage(const grid::FieldSet& src, HaloBuffer& buf) override;
   void unstage(grid::FieldSet& dst, const HaloBuffer& buf, int dst_k0,
                int planes) override;

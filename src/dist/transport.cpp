@@ -11,17 +11,11 @@ namespace emwd::dist {
 
 namespace {
 
-/// Shared-memory plane movement — byte-for-byte the copies HaloExchange
-/// performed before the seam existed (grid::Field plane helpers), so
-/// LocalTransport-backed exchanges are bit-exact with the pre-seam code.
+/// In-process plane movement through the exchange-owned buffer
+/// (grid::Field plane helpers).
 class LocalTransport final : public Transport {
  public:
   std::string name() const override { return "local"; }
-
-  void pull_planes(grid::FieldSet& dst, const grid::FieldSet& src, int src_k0,
-                   int dst_k0, int planes) override {
-    dst.copy_field_planes_from(src, src_k0, dst_k0, planes);
-  }
 
   void stage(const grid::FieldSet& src, HaloBuffer& buf) override {
     fault::maybe_fail("transport.stage");
@@ -57,7 +51,6 @@ std::map<std::string, TransportFactory>& registry() {
     auto* map = new std::map<std::string, TransportFactory>();
     (*map)["local"] = [] { return make_local_transport(); };
     (*map)["shm"] = [] { return make_shm_transport(); };
-    (*map)["socket"] = [] { return make_socket_transport(); };
 #if defined(EMWD_WITH_MPI)
     (*map)["mpi"] = [] { return make_mpi_transport(); };
 #endif

@@ -3,11 +3,12 @@
 // HaloExchange owns the exchange PROTOCOL — which planes move when, the
 // per-neighbor round counters, the export-buffer lifecycle — while a
 // Transport owns the MOTION: how a run of z-planes actually gets from one
-// shard's arrays to another's.  The shipped LocalTransport is the
-// shared-memory memcpy this repo always used (bit-exact with the
-// pre-seam exchange); a rank-aware MpiTransport is a registry entry that
-// implements the same three primitives with Isend/Irecv of the identical
-// plane ranges (see src/dist/README.md for the full contract).
+// shard's arrays to another's.  Two primitives carry every plane: stage
+// (pack a donation, the send half) and unstage (unpack it into ghost
+// planes, the receive half).  The shipped LocalTransport is an in-process
+// memcpy through the exchange-owned buffer; the shm ring and a rank-aware
+// MpiTransport are registry entries that implement the same two
+// primitives (see src/dist/README.md for the full contract).
 //
 // Transports are chosen by name through the engine-spec grammar
 // (`sharded(...,transport=local)`) and resolved via make_transport().
@@ -28,9 +29,9 @@ namespace emwd::dist {
 ///
 /// `src_shard`/`dst_shard` identify the CHANNEL the buffer travels on (one
 /// donor/consumer pair, one direction).  The exchange assigns them in
-/// reset_flow(); transports with out-of-band state (a shared-memory ring, a
-/// socket pair, an MPI peer rank) key that state on the pair, while the
-/// LocalTransport ignores them.
+/// reset_flow(); transports with out-of-band state (a shared-memory ring, an
+/// MPI peer rank) key that state on the pair, while the LocalTransport
+/// ignores them.
 struct HaloBuffer {
   int src_k0 = 0;  // first donated plane, donor-local logical z
   int planes = 0;
@@ -44,16 +45,9 @@ class Transport {
   virtual ~Transport() = default;
   virtual std::string name() const = 0;
 
-  /// Bulk-synchronous pull (HaloExchange::exchange_for): copy `planes`
-  /// z-planes of every field array from `src` (neighbor-local z `src_k0`)
-  /// into `dst` (receiver-local z `dst_k0`).  Runs between full barriers;
-  /// may read the neighbor's live arrays directly.
-  virtual void pull_planes(grid::FieldSet& dst, const grid::FieldSet& src, int src_k0,
-                           int dst_k0, int planes) = 0;
-
   /// Stage `buf.planes` owned z-planes of `src` (starting at buf.src_k0)
-  /// into buf.data — the buffered-send half of the overlapped post/wait
-  /// protocol (MPI_Isend's pack).
+  /// into buf.data — the buffered-send half of the post/wait protocol
+  /// (MPI_Isend's pack).
   virtual void stage(const grid::FieldSet& src, HaloBuffer& buf) = 0;
 
   /// Copy a staged donation into `dst`'s ghost planes starting at `dst_k0`
@@ -69,13 +63,13 @@ class Transport {
   virtual void reset() {}
 
   /// False when stage()/unstage() move bytes through transport-owned
-  /// storage (a mapped ring slot, a wire) and never touch HaloBuffer::data
+  /// storage (a mapped ring slot) and never touch HaloBuffer::data
   /// — the exchange then skips the heap allocation entirely (the zero-copy
   /// path).  Default true: the buffer is the staging area.
   virtual bool wants_buffer_storage() const { return true; }
 };
 
-/// The in-process transport: plain plane memcpys, today's behavior.
+/// The in-process transport: plain plane memcpys through HaloBuffer::data.
 std::unique_ptr<Transport> make_local_transport();
 
 /// Zero-copy shared-memory ring transport ("shm"): stage packs planes
@@ -83,12 +77,6 @@ std::unique_ptr<Transport> make_local_transport();
 /// seqlock-style slot headers; unstage copies out of the mapped slot.  See
 /// src/dist/shm_transport.hpp for the normative wire format.
 std::unique_ptr<Transport> make_shm_transport();
-
-/// Stream-socket transport ("socket"): stage frames the packed planes over
-/// a per-channel socketpair using util/socket framing; a per-channel
-/// receiver thread drains frames into a bounded inbox that unstage pops —
-/// the cross-host idiom, exercised in-process.
-std::unique_ptr<Transport> make_socket_transport();
 
 #if defined(EMWD_WITH_MPI)
 /// One-rank-per-shard MPI transport ("mpi"): stage packs + MPI_Isend to the
@@ -102,8 +90,8 @@ std::unique_ptr<Transport> make_mpi_transport();
 
 using TransportFactory = std::function<std::unique_ptr<Transport>()>;
 
-/// Register (or replace) the factory for `name`; "local" is pre-registered.
-/// A future MpiTransport is one register_transport call, not a refactor.
+/// Register (or replace) the factory for `name`; "local", "shm" and (when
+/// built with MPI) "mpi" are pre-registered.
 void register_transport(const std::string& name, TransportFactory factory);
 
 /// Construct the named transport; throws std::invalid_argument for an

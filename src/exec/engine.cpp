@@ -42,7 +42,6 @@ EngineStats& EngineStats::merge(const EngineStats& other) {
   seconds = total;
   steps += other.steps;
   shards = std::max(shards, other.shards);
-  halo_overlapped = halo_overlapped || other.halo_overlapped;
   accumulate_work(*this, other);
   return *this;
 }
@@ -61,7 +60,6 @@ std::string EngineStats::to_json() const {
      << ",\"halo_wait_seconds\":" << halo_wait_seconds
      << ",\"halo_hidden_seconds\":" << halo_hidden_seconds
      << ",\"halo_exposed_seconds\":" << halo_exposed_seconds()
-     << ",\"halo_overlapped\":" << (halo_overlapped ? "true" : "false")
      << ",\"halo_staged_bytes\":" << halo_staged_bytes
      << ",\"halo_unstaged_bytes\":" << halo_unstaged_bytes
      << ",\"halo_stage_seconds\":" << halo_stage_seconds
@@ -97,7 +95,6 @@ EngineStats EngineStats::from_json(const util::JsonValue& v) {
   s.halo_wait_seconds = v.get_double("halo_wait_seconds", 0.0);
   s.halo_hidden_seconds = v.get_double("halo_hidden_seconds", 0.0);
   // halo_exposed_seconds is derived (wait + copy - hidden); ignored on read.
-  s.halo_overlapped = v.get_bool("halo_overlapped", false);
   s.halo_staged_bytes = v.get_int("halo_staged_bytes", 0);
   s.halo_unstaged_bytes = v.get_int("halo_unstaged_bytes", 0);
   s.halo_stage_seconds = v.get_double("halo_stage_seconds", 0.0);

@@ -37,26 +37,21 @@ struct EngineStats {
   double halo_exchange_seconds = 0.0;
   /// Payload bytes moved by halo exchanges over the whole run.
   std::int64_t halo_bytes_moved = 0;
-  /// Cumulative thread-seconds a shard spent stalled on the exchange: full
-  /// barrier waits around exchange_for() in barrier mode, pairwise
-  /// neighbor-readiness spins of the post/wait protocol in overlap mode.
+  /// Cumulative thread-seconds a shard spent stalled on the exchange: the
+  /// post/wait protocol's neighbor-readiness and buffer-reuse spins.
   double halo_wait_seconds = 0.0;
   /// Portion of halo_exchange_seconds that did NOT extend the critical
   /// path: ghost-plane copies performed while the shard was anyway waiting
-  /// for its other neighbor to publish (overlap mode only).
+  /// for its other neighbor to publish.
   double halo_hidden_seconds = 0.0;
-  /// True when the run used the overlapped (post/wait) exchange protocol
-  /// instead of full-stop barriers.
-  bool halo_overlapped = false;
-  /// Per-transport accounting of the overlapped protocol's two halves
-  /// (zero for barrier-mode runs, whose pulls never stage):
+  /// Per-transport accounting of the exchange's two halves:
   std::int64_t halo_staged_bytes = 0;    // payload packed by Transport::stage
   std::int64_t halo_unstaged_bytes = 0;  // payload unpacked by Transport::unstage
   double halo_stage_seconds = 0.0;       // thread-seconds inside stage
   double halo_unstage_seconds = 0.0;     // thread-seconds inside unstage
   /// Name of the halo transport that moved the bytes ("local", "shm",
-  /// "socket", "mpi", ...).  Empty for engines without a halo; registry
-  /// names are dynamic, hence a string rather than a static pointer.
+  /// "mpi", ...).  Empty for engines without a halo; registry names are
+  /// dynamic, hence a string rather than a static pointer.
   std::string halo_transport;
   /// Body of kernels::update_row the engine's rows ran: kernels::row_isa(),
   /// "avx2" or "scalar" (static string, never dangles).  The stock engines
@@ -85,8 +80,8 @@ struct EngineStats {
 
   /// Fold another run's stats into this one so batch results aggregate
   /// without hand-rolled loops: times, steps and byte/work counters sum;
-  /// peak-like fields (`shards`) take the max; `halo_overlapped` ors;
-  /// `kernel_isa` promotes away from "scalar" exactly like accumulate_work.
+  /// peak-like fields (`shards`) take the max; `kernel_isa` promotes away
+  /// from "scalar" exactly like accumulate_work.
   /// `mlups` becomes the wall-time-weighted mean throughput (the max of the
   /// two when neither run carries wall time), so merging a
   /// default-constructed EngineStats is an identity in every field.
@@ -107,23 +102,6 @@ class Engine {
 
   /// Advance the fields by `steps` full time steps, collecting stats.
   virtual void run(grid::FieldSet& fs, int steps) = 0;
-
-  /// Install a per-run prologue: every subsequent run() invokes fn() exactly
-  /// once before any field update of that run.  The sharded engine's
-  /// overlapped exchange threads its halo wait/pull through this hook.  The
-  /// loop-nest engines call it at run() entry on the caller thread; the MWD
-  /// engine routes it through the tile queue's boundary gate, so the thread
-  /// team spins up and parks on the queue while fn() (the halo handshake)
-  /// is still in flight.  fn may throw; the run then rethrows without
-  /// touching fields.  Pass nullptr to uninstall.
-  void set_run_prologue(std::function<void()> fn) { prologue_ = std::move(fn); }
-
-  /// True when this engine's run() honors an installed prologue.  Callers
-  /// that depend on the prologue actually executing (the overlapped sharded
-  /// exchange) must fall back to running it themselves around run() when
-  /// this is false — e.g. for wrapper or test engines that never call
-  /// run_prologue().
-  virtual bool supports_run_prologue() const { return false; }
 
   /// Safe-boundary step hook, fired between full time steps; `steps_done`
   /// is the number of steps this run has completed so far.  Return false to
@@ -149,14 +127,7 @@ class Engine {
   const EngineStats& stats() const { return stats_; }
 
  protected:
-  /// Invoke the installed prologue, if any (for engines without gating).
-  void run_prologue() {
-    if (prologue_) prologue_();
-  }
-  bool has_prologue() const { return static_cast<bool>(prologue_); }
-
   EngineStats stats_;
-  std::function<void()> prologue_;
   StepHookFn step_hook_;
   int step_hook_every_ = 0;
 };

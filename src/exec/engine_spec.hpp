@@ -5,7 +5,7 @@
 // Z" a first-class value with a canonical string grammar:
 //
 //   spec    := ident [ '(' arg (',' arg)* ')' ]
-//   arg     := ident                 (a flag, e.g. `overlap`)
+//   arg     := ident                 (a flag, e.g. `static`)
 //            | ident '=' scalar     (e.g. `dw=8`, `transport=local`)
 //            | ident '=' spec       (a nested spec, e.g. `inner=mwd(dw=8)`)
 //   ident   := [A-Za-z_][A-Za-z0-9_]*
@@ -22,7 +22,7 @@
 //
 //   naive(threads=4)
 //   mwd(dw=8,bz=2,tc=3)
-//   sharded(shards=4,interval=2,overlap,inner=mwd(dw=8),transport=local)
+//   sharded(shards=4,interval=2,inner=mwd(dw=8),transport=local)
 //   auto
 #pragma once
 

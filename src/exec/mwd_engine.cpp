@@ -1,6 +1,6 @@
 // Multicore Wavefront Diamond engine (paper Sec. II).
 //
-// Thread groups (TGs) pop diamond tiles from the two-class ready queue and
+// Thread groups (TGs) pop diamond tiles from the FIFO ready queue and
 // execute them cooperatively: the group's threads split the x rows (tx), the
 // z-planes of the wavefront window (tz) and the six concurrently-updatable
 // field components (tc), synchronizing on a group-private spin barrier once
@@ -8,17 +8,11 @@
 // per thread is exactly the paper's 1WD; one full-socket group is PWD.
 //
 // The DiamondTiling / TileDag / TileQueue triple is cached across run()
-// calls (keyed on ny, steps and gating mode): back-to-back timed runs —
-// the sharded auto-tuner's stage-2 refinement, per-exchange-round chunks —
-// pay only a queue reset instead of a full rebuild.
-//
-// When a run prologue is installed (the sharded engine's overlapped halo
-// handshake), the queue is built with classify_exchange_tiles() and the
-// boundary gate closed: the team spins up and parks on the queue while
-// tid 0 runs the prologue, then opens the gate; boundary tiles drain first.
+// calls (keyed on ny and steps): back-to-back timed runs — the sharded
+// auto-tuner's stage-2 refinement, per-exchange-round chunks — pay only a
+// queue reset instead of a full rebuild.
 
 #include <atomic>
-#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -49,7 +43,6 @@ class MwdEngine final : public Engine {
 
   std::string name() const override { return p_.describe(); }
   int threads() const override { return p_.threads(); }
-  bool supports_run_prologue() const override { return true; }
   const MwdParams& params() const { return p_; }
 
   void run(grid::FieldSet& fs, int steps) override {
@@ -57,15 +50,10 @@ class MwdEngine final : public Engine {
     const grid::Layout& L = fs.layout();
     const int nx = L.nx(), ny = L.ny(), nz = L.nz();
 
-    const bool gated = has_prologue() && p_.schedule == TileSchedule::FifoQueue;
-    Prepared& prep = prepare(ny, steps, gated);
+    Prepared& prep = prepare(ny, steps);
     const tiling::DiamondTiling& dt = *prep.tiling;
     tiling::TileQueue& queue = *prep.queue;
     queue.reset();
-    if (has_prologue() && !gated) {  // StaticWave: eager prologue
-      OBS_SPAN("engine.prologue");
-      run_prologue();
-    }
 
     const TgShape shape{p_.tx, p_.tz, p_.tc};
     const int tg_size = shape.size();
@@ -87,7 +75,6 @@ class MwdEngine final : public Engine {
     std::atomic<std::int64_t> barrier_episodes{0};
     std::atomic<std::int64_t> queue_wait_ns{0};
     std::atomic<std::int64_t> barrier_wait_ns{0};
-    std::exception_ptr prologue_error;
 
     util::Timer timer;
     ThreadTeam::run(nthreads, [&](int tid) {
@@ -99,23 +86,6 @@ class MwdEngine final : public Engine {
       std::int64_t local_barriers = 0;
       std::int64_t local_queue_ns = 0;
       std::int64_t local_barrier_ns = 0;
-
-      // Gated run: tid 0 performs the prologue (the halo handshake) while
-      // every other thread parks on the queue's condition variable — cores
-      // stay free for neighboring shards still computing.  A throwing
-      // prologue aborts the queue so no popper is stranded.
-      if (gated && tid == 0) {
-        try {
-          {
-            OBS_SPAN("engine.prologue");
-            run_prologue();
-          }
-          queue.open_gate();
-        } catch (...) {
-          prologue_error = std::current_exception();
-          queue.abort();
-        }
-      }
 
       auto exec_tile = [&](long ti) {
         const tiling::TileCoord tile = dt.tiles()[static_cast<std::size_t>(ti)];
@@ -137,15 +107,12 @@ class MwdEngine final : public Engine {
       };
 
       if (p_.schedule == TileSchedule::FifoQueue) {
-        // Leaders coalesce consecutive same-class tiles into one trace
-        // span per stretch (engine.tiles.boundary / .interior, arg = tile
-        // count): per-tile spans would swamp the ring at MWD tile rates,
-        // while class transitions are exactly what the overlap schedule
-        // is about.  Armed-at-run-start is sampled once; a mid-run arm
-        // simply misses this run's stretches.
+        // Each leader emits one engine.tiles span per run, from its first
+        // tile to its exit, with its tile count as the arg: per-tile spans
+        // would swamp the ring at MWD tile rates.  Armed-at-run-start is
+        // sampled once; a mid-run arm simply misses this run's span.
         const bool trace_tiles = rank == 0 && obs::tracing_enabled();
-        const char* stretch = nullptr;
-        std::int64_t stretch_start = 0, stretch_tiles = 0;
+        std::int64_t span_start = 0, span_tiles = 0;
         for (;;) {
           if (rank == 0) {
             util::Timer qt;
@@ -156,32 +123,14 @@ class MwdEngine final : public Engine {
           st.barrier.arrive_and_wait();
           const long ti = st.current.load(std::memory_order_acquire);
           if (ti < 0) break;
-          if (trace_tiles) {
-            const char* cls =
-                !prep.classes.empty() &&
-                        prep.classes[static_cast<std::size_t>(ti)] ==
-                            tiling::TileClass::Boundary
-                    ? "engine.tiles.boundary"
-                    : "engine.tiles.interior";
-            if (cls != stretch) {
-              if (stretch != nullptr) {
-                obs::emit_complete(stretch, stretch_start, stretch_tiles);
-              }
-              stretch = cls;
-              stretch_start = obs::now_ns();
-              stretch_tiles = 0;
-            }
-            ++stretch_tiles;
-          }
+          if (trace_tiles && span_tiles++ == 0) span_start = obs::now_ns();
           exec_tile(ti);
           if (rank == 0) {
             queue.complete(static_cast<std::int32_t>(ti));
             tiles_executed.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        if (stretch != nullptr) {
-          obs::emit_complete(stretch, stretch_start, stretch_tiles);
-        }
+        if (span_tiles > 0) obs::emit_complete("engine.tiles", span_start, span_tiles);
       } else {
         // StaticWave: group g owns every num_tgs-th tile of each wavefront;
         // a global barrier separates wavefronts.
@@ -199,7 +148,6 @@ class MwdEngine final : public Engine {
       queue_wait_ns.fetch_add(local_queue_ns, std::memory_order_relaxed);
       barrier_wait_ns.fetch_add(local_barrier_ns, std::memory_order_relaxed);
     });
-    if (prologue_error) std::rethrow_exception(prologue_error);
 
     stats_.seconds = timer.seconds();
     stats_.steps = steps;
@@ -218,35 +166,24 @@ class MwdEngine final : public Engine {
   struct Prepared {
     int ny = 0;
     int nt = 0;
-    bool gated = false;
     std::unique_ptr<tiling::DiamondTiling> tiling;
     std::unique_ptr<tiling::TileDag> dag;
     std::unique_ptr<tiling::TileQueue> queue;
-    /// Gated runs keep the exchange classification for trace stretch
-    /// labeling (empty otherwise: every tile is interior-class).
-    std::vector<tiling::TileClass> classes;
     // Static schedule: wavefront boundaries in the (wavefront-sorted) tile
     // list.  Tiles on one wavefront are mutually independent.
     std::vector<std::pair<std::size_t, std::size_t>> waves;
   };
 
-  Prepared& prepare(int ny, int nt, bool gated) {
+  Prepared& prepare(int ny, int nt) {
     for (auto& entry : cache_) {
-      if (entry->ny == ny && entry->nt == nt && entry->gated == gated) return *entry;
+      if (entry->ny == ny && entry->nt == nt) return *entry;
     }
     auto prep = std::make_unique<Prepared>();
     prep->ny = ny;
     prep->nt = nt;
-    prep->gated = gated;
     prep->tiling = std::make_unique<tiling::DiamondTiling>(p_.dw, ny, nt);
     prep->dag = std::make_unique<tiling::TileDag>(*prep->tiling);
-    if (gated) {
-      prep->classes = tiling::classify_exchange_tiles(*prep->tiling);
-      prep->queue = std::make_unique<tiling::TileQueue>(*prep->dag, prep->classes,
-                                                        /*gate_closed=*/true);
-    } else {
-      prep->queue = std::make_unique<tiling::TileQueue>(*prep->dag);
-    }
+    prep->queue = std::make_unique<tiling::TileQueue>(*prep->dag);
     if (p_.schedule == TileSchedule::StaticWave) {
       const auto& tiles = prep->tiling->tiles();
       std::size_t begin = 0;

@@ -23,7 +23,6 @@ class NaiveEngine final : public Engine {
 
   std::string name() const override { return "naive"; }
   int threads() const override { return threads_; }
-  bool supports_run_prologue() const override { return true; }
 
   void run(grid::FieldSet& fs, int steps) override {
     OBS_SPAN("engine.run", steps);
@@ -31,7 +30,6 @@ class NaiveEngine final : public Engine {
     const int nx = L.nx(), ny = L.ny(), nz = L.nz();
     util::SpinBarrier barrier(threads_);
     std::int64_t barrier_count = 0;
-    run_prologue();  // e.g. the sharded engine's halo wait/pull for this round
 
     util::Timer timer;
     ThreadTeam::run(threads_, [&](int tid) {

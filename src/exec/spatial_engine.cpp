@@ -28,7 +28,6 @@ class SpatialEngine final : public Engine {
 
   std::string name() const override { return "spatial"; }
   int threads() const override { return threads_; }
-  bool supports_run_prologue() const override { return true; }
 
   /// Layer-condition block height for a given row length and cache budget.
   static int auto_block_y(int nx, int ny, std::size_t cache_budget_bytes) {
@@ -54,7 +53,6 @@ class SpatialEngine final : public Engine {
 
     util::SpinBarrier barrier(threads_);
     std::int64_t barrier_count = 0;
-    run_prologue();  // e.g. the sharded engine's halo wait/pull for this round
 
     util::Timer timer;
     ThreadTeam::run(threads_, [&](int tid) {

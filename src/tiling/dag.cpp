@@ -1,7 +1,6 @@
 #include "tiling/dag.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace emwd::tiling {
 
@@ -21,100 +20,34 @@ TileDag::TileDag(const DiamondTiling& tiling) {
   }
 }
 
-std::vector<TileClass> classify_exchange_tiles(const DiamondTiling& tiling) {
-  const auto& tiles = tiling.tiles();
-  std::vector<TileClass> classes(tiles.size(), TileClass::Interior);
-  for (std::size_t i = 0; i < tiles.size(); ++i) {
-    // slices() is ascending in s; the first row's half-step tells whether
-    // the tile touches round-entry (pulled / not-yet-republished) state.
-    const auto slices = tiling.slices(tiles[i]);
-    if (!slices.empty() && slices.front().s <= 1) classes[i] = TileClass::Boundary;
-  }
-  return classes;
-}
-
-TileQueue::TileQueue(const TileDag& dag) : TileQueue(dag, {}, false) {}
-
-TileQueue::TileQueue(const TileDag& dag, std::vector<TileClass> classes, bool gate_closed)
-    : dag_(&dag), classes_(std::move(classes)), gate_closed_at_reset_(gate_closed),
-      remaining_deps_(dag.num_tiles()) {
-  if (!classes_.empty() && classes_.size() != dag.num_tiles()) {
-    throw std::invalid_argument("TileQueue: one class per tile required");
-  }
-  if (classes_.empty() && gate_closed) {
-    throw std::invalid_argument("TileQueue: a gate needs a classification");
-  }
+TileQueue::TileQueue(const TileDag& dag) : dag_(&dag), remaining_deps_(dag.num_tiles()) {
   reset();
 }
 
 void TileQueue::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < dag_->num_tiles(); ++i) remaining_deps_[i] = dag_->dep_count(i);
-  ready_boundary_.clear();
-  ready_interior_.clear();
-  head_boundary_ = head_interior_ = 0;
+  ready_.assign(dag_->initial_ready().begin(), dag_->initial_ready().end());
+  head_ = 0;
   completed_ = 0;
-  aborted_ = false;
-  gate_open_ = !gate_closed_at_reset_;
-  for (std::int32_t t : dag_->initial_ready()) push_ready_locked(t);
-  max_ready_ = ready_boundary_.size() + ready_interior_.size();
-}
-
-void TileQueue::push_ready_locked(std::int32_t tile_index) {
-  const bool boundary =
-      !classes_.empty() &&
-      classes_[static_cast<std::size_t>(tile_index)] == TileClass::Boundary;
-  (boundary ? ready_boundary_ : ready_interior_).push_back(tile_index);
-}
-
-bool TileQueue::servable_locked() const {
-  if (aborted_ || completed_ == dag_->num_tiles()) return true;
-  if (gate_open_ && head_boundary_ < ready_boundary_.size()) return true;
-  return head_interior_ < ready_interior_.size();
+  max_ready_ = ready_.size();
 }
 
 std::optional<std::int32_t> TileQueue::pop() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return servable_locked(); });
-  if (aborted_) return std::nullopt;
-  // Priority: drain boundary tiles first so the exchange-coupled prologue
-  // of the round retires as early as the DAG allows.
-  if (gate_open_ && head_boundary_ < ready_boundary_.size()) {
-    return ready_boundary_[head_boundary_++];
-  }
-  if (head_interior_ < ready_interior_.size()) return ready_interior_[head_interior_++];
+  cv_.wait(lock, [&] { return head_ < ready_.size() || completed_ == dag_->num_tiles(); });
+  if (head_ < ready_.size()) return ready_[head_++];
   return std::nullopt;  // all tiles completed
-}
-
-void TileQueue::note_max_ready_locked() {
-  const std::size_t ready = (ready_boundary_.size() - head_boundary_) +
-                            (ready_interior_.size() - head_interior_);
-  max_ready_ = std::max(max_ready_, ready);
 }
 
 void TileQueue::complete(std::int32_t tile_index) {
   std::lock_guard<std::mutex> lock(mu_);
   ++completed_;
   for (std::int32_t dep : dag_->dependents(static_cast<std::size_t>(tile_index))) {
-    if (--remaining_deps_[static_cast<std::size_t>(dep)] == 0) {
-      push_ready_locked(dep);
-    }
+    if (--remaining_deps_[static_cast<std::size_t>(dep)] == 0) ready_.push_back(dep);
   }
-  note_max_ready_locked();
+  max_ready_ = std::max(max_ready_, ready_.size() - head_);
   // Wake every waiting TG leader: new tiles may be ready, or we may be done.
-  cv_.notify_all();
-}
-
-void TileQueue::open_gate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (gate_open_) return;
-  gate_open_ = true;
-  cv_.notify_all();
-}
-
-void TileQueue::abort() {
-  std::lock_guard<std::mutex> lock(mu_);
-  aborted_ = true;
   cv_.notify_all();
 }
 
@@ -126,21 +59,6 @@ std::size_t TileQueue::completed() const {
 std::size_t TileQueue::max_ready_observed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return max_ready_;
-}
-
-std::size_t TileQueue::boundary_tiles() const {
-  return static_cast<std::size_t>(
-      std::count(classes_.begin(), classes_.end(), TileClass::Boundary));
-}
-
-bool TileQueue::gate_open() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gate_open_;
-}
-
-bool TileQueue::aborted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return aborted_;
 }
 
 }  // namespace emwd::tiling

@@ -6,14 +6,6 @@
 // it pushes to the queue its dependent diamond tile, if that has no other
 // dependencies.  The queue update is performed in an OpenMP critical
 // region."  We use a mutex + condition variable for the critical region.
-//
-// For sharded (halo-exchanged) runs the queue is a two-class priority
-// queue: tiles are classified as *boundary* (they touch the exchanged
-// round-entry state, see classify_exchange_tiles) or *interior*, boundary
-// tiles drain first among the ready set, and the boundary class can be
-// gated on a "halo ready" epoch so a run may be entered — thread team
-// spun up, queue reset, workers parked — while the halo handshake for the
-// round is still in flight.
 #pragma once
 
 #include <condition_variable>
@@ -44,48 +36,20 @@ class TileDag {
   std::vector<std::int32_t> initial_ready_;
 };
 
-/// Scheduling class of a diamond tile in a halo-exchanged run.
-enum class TileClass : std::uint8_t { Interior = 0, Boundary = 1 };
-
-/// Classify every tile of `tiling`: a tile is Boundary when it contains a
-/// row at half-step s <= 1 — exactly the rows that read the round-entry
-/// values of the exchanged ghost planes (the Ĥ update of step 0 reads
-/// pulled Ê values, the Ê update of step 0 still reads its own pulled
-/// previous value) or overwrite the boundary planes a neighbor may still
-/// be pulling.  Every later half-step only sees planes the round itself
-/// already rewrote, so Interior tiles are independent of the exchange.
-std::vector<TileClass> classify_exchange_tiles(const DiamondTiling& tiling);
-
-/// Thread-safe ready queue of tiles.  pop() blocks until a servable tile is
+/// Thread-safe FIFO ready queue of tiles.  pop() blocks until a tile is
 /// ready or every tile has been completed (then returns nullopt).
-///
-/// With a classification, ready boundary tiles are served before ready
-/// interior ones; when constructed (or reset) with the gate closed, boundary
-/// tiles are withheld until open_gate() — interior tiles, and through the
-/// DAG everything downstream of the gated sources, wait naturally.
 class TileQueue {
  public:
   explicit TileQueue(const TileDag& dag);
-  /// Two-class queue.  `classes` must have one entry per tile.  With
-  /// `gate_closed`, boundary tiles are not served until open_gate().
-  TileQueue(const TileDag& dag, std::vector<TileClass> classes, bool gate_closed = false);
 
-  /// Pop the highest-priority ready tile; nullopt once all tiles are
-  /// completed or the queue was aborted.
+  /// Pop the oldest ready tile; nullopt once all tiles are completed.
   std::optional<std::int32_t> pop();
 
   /// Mark a tile completed; pushes newly-ready dependents.
   void complete(std::int32_t tile_index);
 
-  /// Release gated boundary tiles (idempotent; wakes waiting poppers).
-  void open_gate();
-
-  /// Make every current and future pop() return nullopt (failure drain:
-  /// a gate owner whose halo acquisition failed must not strand poppers).
-  void abort();
-
-  /// Restore the post-construction state — including the construction-time
-  /// gate setting — so the queue can be reused for another run.
+  /// Restore the post-construction state so the queue can be reused for
+  /// another run.
   void reset();
 
   /// Tiles completed so far.
@@ -94,29 +58,13 @@ class TileQueue {
   /// Largest number of simultaneously-ready tiles observed (test hook).
   std::size_t max_ready_observed() const;
 
-  /// Number of boundary-class tiles (test hook; 0 without classification).
-  std::size_t boundary_tiles() const;
-
-  bool gate_open() const;
-  bool aborted() const;
-
  private:
-  bool servable_locked() const;
-  void push_ready_locked(std::int32_t tile_index);
-  void note_max_ready_locked();
-
   const TileDag* dag_;
-  std::vector<TileClass> classes_;  // empty: single-class FIFO
-  bool gate_closed_at_reset_ = false;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::int32_t> ready_boundary_;  // FIFO: pop from head_boundary_
-  std::vector<std::int32_t> ready_interior_;  // FIFO: pop from head_interior_
-  std::size_t head_boundary_ = 0;
-  std::size_t head_interior_ = 0;
-  bool gate_open_ = true;
-  bool aborted_ = false;
+  std::vector<std::int32_t> ready_;  // FIFO: pop from head_
+  std::size_t head_ = 0;
   std::vector<int> remaining_deps_;
   std::size_t completed_ = 0;
   std::size_t max_ready_ = 0;

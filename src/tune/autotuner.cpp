@@ -129,11 +129,10 @@ TuneResult autotune(const TuneConfig& cfg) {
 // ------------------------------------------------------ sharded two-stage
 
 ShardedCandidate score_sharded_candidate(int num_shards, int exchange_interval,
-                                         const ShardedTuneConfig& cfg, bool overlap) {
+                                         const ShardedTuneConfig& cfg) {
   ShardedCandidate c;
   c.plan.num_shards = num_shards;
   c.plan.exchange_interval = exchange_interval;
-  c.plan.overlap = overlap && num_shards > 1;
   c.plan.transport = cfg.transport;
 
   const int tps = std::max(1, cfg.threads / num_shards);
@@ -170,14 +169,11 @@ ShardedCandidate score_sharded_candidate(int num_shards, int exchange_interval,
   // Shards advance concurrently, so a round of T steps costs T times the
   // slowest shard's step (the redundant ghost-plane planes are inside each
   // shard's extended grid and thus inside its step time) plus one exchange.
-  // At a barrier all shards stop while the full payload streams over the
-  // bandwidth roof; the overlapped post/wait protocol exposes only the
-  // worst single shard's own pull — the remaining bytes hide behind
-  // neighboring shards' compute.
+  // The post/wait protocol exposes only the worst single shard's own pull
+  // over the bandwidth roof — the remaining bytes hide behind neighboring
+  // shards' compute.
   const std::int64_t halo_bytes = dist::HaloExchange::bytes_per_exchange(part);
-  const std::int64_t exposed_bytes =
-      c.plan.overlap ? dist::HaloExchange::max_shard_bytes_per_exchange(part)
-                     : halo_bytes;
+  const std::int64_t exposed_bytes = dist::HaloExchange::max_shard_bytes_per_exchange(part);
   const double interval = static_cast<double>(exchange_interval);
   c.halo_bytes_per_step = static_cast<double>(halo_bytes) / interval;
   c.exposed_halo_bytes_per_step = static_cast<double>(exposed_bytes) / interval;
@@ -214,17 +210,7 @@ ShardedTuneResult autotune_sharded(const ShardedTuneConfig& cfg) {
     } else {
       interval_axis = enumerate_exchange_intervals(k, cfg.grid, cfg.limits);
     }
-    for (int t : interval_axis) {
-      std::vector<bool> overlap_axis;
-      if (cfg.fixed_overlap >= 0) {
-        overlap_axis.push_back(cfg.fixed_overlap != 0 && k > 1);
-      } else {
-        overlap_axis = enumerate_overlap_modes(k);
-      }
-      for (bool ov : overlap_axis) {
-        result.ranked.push_back(score_sharded_candidate(k, t, cfg, ov));
-      }
-    }
+    for (int t : interval_axis) result.ranked.push_back(score_sharded_candidate(k, t, cfg));
   }
   if (result.ranked.empty()) throw std::runtime_error("autotune_sharded: empty space");
   std::sort(result.ranked.begin(), result.ranked.end(),
@@ -232,15 +218,11 @@ ShardedTuneResult autotune_sharded(const ShardedTuneConfig& cfg) {
               if (a.predicted_mlups != b.predicted_mlups) {
                 return a.predicted_mlups > b.predicted_mlups;
               }
-              // Prefer fewer shards, shallower overlap depth and the
-              // simpler barrier protocol on model ties.
+              // Prefer fewer shards and shallower overlap depth on model ties.
               if (a.plan.num_shards != b.plan.num_shards) {
                 return a.plan.num_shards < b.plan.num_shards;
               }
-              if (a.plan.exchange_interval != b.plan.exchange_interval) {
-                return a.plan.exchange_interval < b.plan.exchange_interval;
-              }
-              return a.plan.overlap < b.plan.overlap;
+              return a.plan.exchange_interval < b.plan.exchange_interval;
             });
 
   if (cfg.timed_refinement) {
@@ -288,14 +270,13 @@ double time_sharded_plan(const ShardPlan& plan, grid::FieldSet& fs,
 }
 
 util::Table ShardedTuneResult::to_table() const {
-  util::Table t({"shards", "interval", "redundant_frac", "halo_MB_per_step", "overlap",
+  util::Table t({"shards", "interval", "redundant_frac", "halo_MB_per_step",
                  "exposed_halo_MB_per_step", "predicted_mlups", "measured_mlups",
                  "measured_s", "spec"});
   for (const ShardedCandidate& c : ranked) {
     t.add_row({std::to_string(c.plan.num_shards), std::to_string(c.plan.exchange_interval),
                util::fmt_double(c.redundant_lup_fraction, 4),
                util::fmt_double(c.halo_bytes_per_step / (1024.0 * 1024.0), 4),
-               c.plan.overlap ? "1" : "0",
                util::fmt_double(c.exposed_halo_bytes_per_step / (1024.0 * 1024.0), 4),
                util::fmt_double(c.predicted_mlups, 5),
                util::fmt_double(c.measured_mlups, 5),

@@ -84,10 +84,9 @@ struct ShardedCandidate {
   std::vector<Candidate> per_shard;     // model score of each shard's tiling
   double redundant_lup_fraction = 0.0;  // ghost-plane recompute per useful LUP
   double halo_bytes_per_step = 0.0;     // exchange payload amortized over T
-  /// Payload bytes per step on the critical path: with overlap on, copies
-  /// proceed pairwise so only the worst single shard's pull is exposed; the
-  /// rest hides behind neighboring shards' compute.  Equals
-  /// halo_bytes_per_step with overlap off.
+  /// Payload bytes per step on the critical path: copies proceed pairwise,
+  /// so only the worst single shard's pull is exposed; the rest hides
+  /// behind neighboring shards' compute.
   double exposed_halo_bytes_per_step = 0.0;
   double predicted_mlups = 0.0;         // aggregate, penalized (stage 1)
   double measured_mlups = 0.0;          // stage 2 (0 if not timed)
@@ -104,9 +103,6 @@ struct ShardedTuneConfig {
   /// always feasible.
   int fixed_shards = 0;
   int fixed_interval = 0;
-  /// Pin the overlap axis: -1 = search both modes, 0 = barrier only,
-  /// 1 = overlapped only (collapses to barrier for single-shard plans).
-  int fixed_overlap = -1;
   /// Halo transport the emitted plan runs over; the model multiplies its
   /// exchange term by transport_cost_factor(transport), so a costlier
   /// transport shifts the search toward fewer shards / deeper intervals.
@@ -135,14 +131,13 @@ struct ShardedTuneResult {
   std::string to_csv() const;
 };
 
-/// Analytic (stage-1) score of one (num_shards, exchange_interval, overlap)
-/// point: per-shard MWD tuning against the real sub-grids plus the
-/// redundant-LUP and halo-bandwidth penalties — with overlap on, only the
-/// exposed (worst single shard) halo bytes are charged against the
-/// bandwidth roof.  The pair must be feasible for cfg.grid.
+/// Analytic (stage-1) score of one (num_shards, exchange_interval) point:
+/// per-shard MWD tuning against the real sub-grids plus the redundant-LUP
+/// and halo-bandwidth penalties — only the exposed (worst single shard)
+/// halo bytes are charged against the bandwidth roof.  The pair must be
+/// feasible for cfg.grid.
 ShardedCandidate score_sharded_candidate(int num_shards, int exchange_interval,
-                                         const ShardedTuneConfig& cfg,
-                                         bool overlap = false);
+                                         const ShardedTuneConfig& cfg);
 
 /// The full two-stage sharded auto-tune described above.
 ShardedTuneResult autotune_sharded(const ShardedTuneConfig& cfg);

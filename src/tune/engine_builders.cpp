@@ -45,6 +45,10 @@ std::unique_ptr<exec::Engine> build_sharded(const EngineSpec& spec,
                                      "numa",   "tune",     "transport", "inner",
                                      "threads", nullptr};
   check_spec_keys(spec, keys, is_indexed_inner_key);
+  // `overlap` names the only exchange protocol there is: still accepted
+  // (and type-checked) in every form so existing specs build, it selects
+  // nothing.
+  (void)spec.get_bool("overlap", false);
   const int threads = spec_threads(spec, ctx);
 
   // Inner specs pass through unchanged; the engine builds them through
@@ -93,7 +97,6 @@ std::unique_ptr<exec::Engine> build_sharded(const EngineSpec& spec,
   }
 
   dist::ShardedParams p;
-  p.overlap = spec.get_bool("overlap", false);
   p.exchange_interval = static_cast<int>(spec_count(spec, "interval", 1));
   p.numa_bind = spec.get_bool("numa", true);
   p.transport = spec.scalar("transport").value_or("local");
@@ -176,9 +179,6 @@ exec::EngineSpec resolve_auto_spec(const exec::EngineSpec& spec,
   sc.machine = context_machine(ctx);
   sc.fixed_shards = static_cast<int>(spec_count(spec, "shards", 0));
   sc.fixed_interval = static_cast<int>(spec_count(spec, "interval", 0));
-  // Pin the overlap axis when present in either form (`overlap` or
-  // `overlap=0|1`); absent means search it.
-  if (spec.has("overlap")) sc.fixed_overlap = spec.get_bool("overlap", false) ? 1 : 0;
   // Validate the transport name before the (expensive) tuning sweep, with
   // the registry's own listing error; the plan then prices and carries it.
   sc.transport = spec.scalar("transport").value_or("local");

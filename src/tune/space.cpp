@@ -83,15 +83,9 @@ std::vector<int> enumerate_exchange_intervals(int num_shards, const grid::Extent
   return out;
 }
 
-std::vector<bool> enumerate_overlap_modes(int num_shards) {
-  if (num_shards <= 1) return {false};
-  return {false, true};
-}
-
 std::string ShardPlan::describe() const {
   std::ostringstream os;
-  os << "plan{K=" << num_shards << ",T=" << exchange_interval
-     << (overlap ? ",overlap" : "");
+  os << "plan{K=" << num_shards << ",T=" << exchange_interval;
   if (transport != "local") os << ",transport=" << transport;
   os << ",[";
   for (std::size_t s = 0; s < per_shard.size(); ++s) {
@@ -107,7 +101,6 @@ exec::EngineSpec ShardPlan::to_spec() const {
   s.kind = "sharded";
   s.add("shards", static_cast<long>(num_shards))
       .add("interval", static_cast<long>(exchange_interval));
-  if (overlap) s.add_flag("overlap");
   if (transport != "local") s.add("transport", transport);
   if (!per_shard.empty()) {
     // tps pins the plan's thread budget so the registry builds the plan
@@ -130,7 +123,6 @@ exec::EngineSpec ShardPlan::to_spec() const {
 double transport_cost_factor(const std::string& transport) {
   if (transport == "local") return 1.0;
   if (transport == "shm") return 1.15;   // same memcpy + ring-slot protocol
-  if (transport == "socket") return 4.0; // two kernel crossings per byte
   return 2.0;                            // mpi and unknown transports
 }
 

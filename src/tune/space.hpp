@@ -53,11 +53,6 @@ std::vector<int> enumerate_shard_counts(int threads, const grid::Extents& grid,
 std::vector<int> enumerate_exchange_intervals(int num_shards, const grid::Extents& grid,
                                               const SpaceLimits& limits = {});
 
-/// Exchange-synchronization modes worth trying for `num_shards` z-shards:
-/// barrier (false) always; the overlapped post/wait protocol (true) only
-/// when there is more than one shard (it is a no-op otherwise).
-std::vector<bool> enumerate_overlap_modes(int num_shards);
-
 /// A complete sharded execution plan as emitted by the sharded tuner: the
 /// decomposition knobs plus one MwdParams per shard, tuned against that
 /// shard's real extended sub-grid (uneven remainder blocks and PML-heavy
@@ -65,9 +60,6 @@ std::vector<bool> enumerate_overlap_modes(int num_shards);
 struct ShardPlan {
   int num_shards = 1;
   int exchange_interval = 1;
-  /// Overlapped (post/wait) halo exchange instead of full-stop barriers;
-  /// an axis of the sharded search space (see enumerate_overlap_modes).
-  bool overlap = false;
   /// Halo transport the plan runs over (dist::make_transport name).  Not a
   /// searched axis — the caller picks the deployment (shm for process
   /// isolation, mpi across nodes) and the tuner prices its per-byte cost
@@ -78,7 +70,7 @@ struct ShardPlan {
   std::string describe() const;
 
   /// The engine spec executing this plan:
-  /// `sharded(shards=..,interval=..[,overlap],tps=..,inner=mwd(...))` —
+  /// `sharded(shards=..,interval=..,tps=..,inner=mwd(...))` —
   /// per-shard tilings serialize as `inner0=..,inner1=..` when they differ.
   /// Building the spec through the registry is how a plan runs — stage-2
   /// timing included — and tuner CSVs serialize plans as these strings so
@@ -90,9 +82,8 @@ struct ShardPlan {
 /// baseline ("local" == 1.0): the multiplier the sharded tuner applies to
 /// its bandwidth-roof exchange term.  Coarse by design — it ranks plans, it
 /// does not predict wall time: shm adds a ring-slot protocol over the same
-/// memcpy; mpi adds matching and (potentially) a NIC; socket streams every
-/// byte through the kernel twice.  Unknown (user-registered) transports get
-/// the conservative mpi-class factor.
+/// memcpy; mpi adds matching and (potentially) a NIC.  Unknown
+/// (user-registered) transports get the conservative mpi-class factor.
 double transport_cost_factor(const std::string& transport);
 
 }  // namespace emwd::tune

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <thread>
 
 namespace emwd::util {
@@ -48,24 +47,6 @@ class SpinBarrier {
   const int participants_;
   std::atomic<int> remaining_;
   std::atomic<bool> sense_;
-};
-
-/// Counts barrier episodes; used by tests and the sync-overhead model.
-class CountingBarrier {
- public:
-  explicit CountingBarrier(int participants) : barrier_(participants) {}
-
-  void arrive_and_wait() noexcept {
-    barrier_.arrive_and_wait();
-    episodes_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Total arrive_and_wait calls across all threads.
-  std::int64_t episodes() const noexcept { return episodes_.load(std::memory_order_relaxed); }
-
- private:
-  SpinBarrier barrier_;
-  std::atomic<std::int64_t> episodes_{0};
 };
 
 }  // namespace emwd::util

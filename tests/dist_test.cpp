@@ -24,6 +24,7 @@
 #include "em/source.hpp"
 #include "exec/engine_registry.hpp"
 #include "exec/engine_spec.hpp"
+#include "fault/inject.hpp"
 #include "grid/fieldset.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/update.hpp"
@@ -166,7 +167,13 @@ TEST(PlaneSlicing, FieldPlaneCopyValidatesRanges) {
 
 // ------------------------------------------------------------ halo exchange
 
-TEST(HaloExchange, PullRefreshesGhostPlanesExactly) {
+/// Corrupt every ghost plane of a 3-shard split, refresh them with one
+/// staged exchange round (reset_flow, then post and wait for every shard)
+/// through `transport` (null = the exchange's default), and check the
+/// refresh: ghosts equal the global planes, owned planes are untouched, and
+/// the round moved exactly bytes_per_exchange().  Returns the transport's
+/// name.
+std::string refresh_corrupted_ghosts(std::unique_ptr<dist::Transport> transport) {
   Layout L({4, 5, 12});
   FieldSet global(L);
   em::build_random_stable(global, 7);
@@ -179,41 +186,49 @@ TEST(HaloExchange, PullRefreshesGhostPlanesExactly) {
     part.scatter(global, *sets.back(), s);
     ptrs.push_back(sets.back().get());
   }
-  // Corrupt every ghost plane, then pull: ghosts must return to the global
-  // values while owned planes stay untouched.
   for (int s = 0; s < 3; ++s) {
     const ShardExtent& e = part.shard(s);
     for (int c = 0; c < kernels::kNumComps; ++c) {
-      grid::Field& f = sets[s]->field(static_cast<kernels::Comp>(c));
-      for (int g = e.ext_z0(); g < e.z0; ++g)
+      grid::Field& f = sets[static_cast<std::size_t>(s)]->field(static_cast<kernels::Comp>(c));
+      for (int g = e.ext_z0(); g < e.ext_z1(); ++g) {
+        if (g >= e.z0 && g < e.z1) continue;  // owned
         for (int j = 0; j < 5; ++j)
           for (int i = 0; i < 4; ++i) f.set(i, j, e.to_local(g), {1e9, -1e9});
-      for (int g = e.z1; g < e.ext_z1(); ++g)
-        for (int j = 0; j < 5; ++j)
-          for (int i = 0; i < 4; ++i) f.set(i, j, e.to_local(g), {1e9, -1e9});
+      }
     }
   }
-  dist::HaloExchange halo(part, ptrs);
-  for (int s = 0; s < 3; ++s) halo.exchange_for(s);
+  dist::HaloExchange halo(part, ptrs, std::move(transport));
+  halo.reset_flow();
+  for (int s = 0; s < 3; ++s) halo.post(s, 1);
+  for (int s = 0; s < 3; ++s) halo.wait(s, 1);
 
   for (int s = 0; s < 3; ++s) {
     const ShardExtent& e = part.shard(s);
-    double worst = 0.0;
+    double worst_ghost = 0.0, worst_owned = 0.0;
     for (int c = 0; c < kernels::kNumComps; ++c) {
-      const grid::Field& f = sets[s]->field(static_cast<kernels::Comp>(c));
+      const grid::Field& f =
+          sets[static_cast<std::size_t>(s)]->field(static_cast<kernels::Comp>(c));
       const grid::Field& g = global.field(static_cast<kernels::Comp>(c));
-      for (int gz = e.ext_z0(); gz < e.ext_z1(); ++gz)
+      for (int gz = e.ext_z0(); gz < e.ext_z1(); ++gz) {
+        double& worst = (gz >= e.z0 && gz < e.z1) ? worst_owned : worst_ghost;
         for (int j = 0; j < 5; ++j)
           for (int i = 0; i < 4; ++i)
             worst = std::max(worst,
                              std::abs(f.at(i, j, e.to_local(gz)) - g.at(i, j, gz)));
+      }
     }
-    EXPECT_EQ(worst, 0.0) << "shard " << s;
+    EXPECT_EQ(worst_ghost, 0.0) << "shard " << s;
+    EXPECT_EQ(worst_owned, 0.0) << "shard " << s;
   }
-  // One pull per shard moved (2 + 4 + 2) ghost planes of all 12 arrays.
+  // One round moved (2 + 4 + 2) ghost planes of all 12 arrays.
   EXPECT_GT(halo.bytes_per_exchange(), 0);
   EXPECT_EQ(halo.take_stats().halo_bytes_moved, halo.bytes_per_exchange());
   EXPECT_EQ(halo.take_stats().halo_bytes_moved, 0);  // taking zeroes the counters
+  return halo.transport().name();
+}
+
+TEST(HaloExchange, PullRefreshesGhostPlanesExactly) {
+  EXPECT_EQ(refresh_corrupted_ghosts(nullptr), "local");
 }
 
 // ------------------------------------------------------- sharded equivalence
@@ -306,14 +321,13 @@ TEST_F(ShardedEquivalence, PerShardMwdParamsMatchBitForBit) {
   EXPECT_EQ(run_diff(p, {6, 8, 12}, 4, grid::XBoundary::Dirichlet, 51), 0.0);
 }
 
-// ------------------------------------------- overlapped (post/wait) exchange
+// ------------------------------------------------------- post/wait exchange
 
 TEST_F(ShardedEquivalence, OverlappedExchangeMatchesBitForBitAllInners) {
-  // The overlapped post/wait protocol only reorders independent work, so
-  // every inner kind must stay bit-identical to the serial reference —
-  // including deep intervals and a partial final round (7 steps, T=3).
-  // The wavefront inner never runs the halo prologue (the shard thread
-  // waits inline), and the mixed set gives each shard a different kind.
+  // The post/wait protocol only reorders independent work, so every inner
+  // kind must stay bit-identical to the serial reference — including deep
+  // intervals and a partial final round (7 steps, T=3).  The mixed set
+  // gives each shard a different kind.
   const std::vector<std::vector<std::string>> inner_sets = {
       {"naive"},
       {"spatial"},
@@ -333,10 +347,9 @@ TEST_F(ShardedEquivalence, OverlappedExchangeMatchesBitForBitAllInners) {
         for (const std::string& inner : inners) {
           p.inners.push_back(exec::parse_engine_spec(inner));
         }
-        p.overlap = true;
         EXPECT_EQ(run_diff(p, {5, 8, 14}, 7, grid::XBoundary::Dirichlet, 53), 0.0)
             << p.describe();
-        EXPECT_TRUE(last_stats_.halo_overlapped);
+        EXPECT_STREQ(last_stats_.kernel_isa, kernels::row_isa());
         EXPECT_GE(last_stats_.halo_wait_seconds, 0.0);
         EXPECT_GE(last_stats_.halo_hidden_seconds, 0.0);
         EXPECT_GE(last_stats_.halo_exposed_seconds(), 0.0);
@@ -350,31 +363,43 @@ TEST_F(ShardedEquivalence, OverlappedPeriodicXMatchesBitForBit) {
   dist::ShardedParams p;
   p.num_shards = 3;
   p.exchange_interval = 2;
-  p.overlap = true;
   EXPECT_EQ(run_diff(p, {6, 7, 13}, 5, grid::XBoundary::Periodic, 57), 0.0);
 }
 
 TEST_F(ShardedEquivalence, OverlapIsANoOpOnASingleShard) {
+  // One shard has no ghost planes: the round loop runs with nothing to
+  // exchange.
   dist::ShardedParams p;
   p.num_shards = 1;
-  p.overlap = true;
   EXPECT_EQ(run_diff(p, {5, 5, 8}, 3, grid::XBoundary::Dirichlet, 59), 0.0);
-  EXPECT_FALSE(last_stats_.halo_overlapped);  // collapses to the barrier path
+  EXPECT_EQ(last_stats_.shards, 1);
+  EXPECT_EQ(last_stats_.halo_bytes_moved, 0);
 }
 
-TEST(ShardedOverlap, BarrierModeReportsWaitButNoOverlapFlag) {
-  const Layout layout({5, 6, 12});
-  FieldSet fs(layout);
-  em::build_random_stable(fs, 61);
-  dist::ShardedParams p;
-  p.num_shards = 2;
-  p.overlap = false;
-  auto engine = dist::make_sharded_engine(p);
-  engine->run(fs, 6);
-  EXPECT_FALSE(engine->stats().halo_overlapped);
-  EXPECT_GE(engine->stats().halo_wait_seconds, 0.0);
-  EXPECT_EQ(engine->stats().halo_hidden_seconds, 0.0);
-  EXPECT_STREQ(engine->stats().kernel_isa, kernels::row_isa());
+TEST(ShardedSpec, OverlapKeySelectsNothing) {
+  // `overlap` stays accepted in every form and selects nothing: each form
+  // builds the same engine, bit-identical to the serial reference.
+  const Layout layout({6, 7, 16});
+  FieldSet reference(layout);
+  em::build_random_stable(reference, 97);
+  kernels::reference_step(reference, 5);
+  exec::BuildContext ctx;
+  ctx.grid = layout.interior();
+  ctx.threads = 2;
+  std::string name;
+  for (const char* spec : {"sharded(shards=2,interval=2,inner=naive)",
+                           "sharded(shards=2,interval=2,overlap,inner=naive)",
+                           "sharded(shards=2,interval=2,overlap=1,inner=naive)",
+                           "sharded(shards=2,interval=2,overlap=0,inner=naive)"}) {
+    auto engine = exec::EngineRegistry::global().build(spec, ctx);
+    if (name.empty()) name = engine->name();
+    EXPECT_EQ(engine->name(), name) << spec;
+    FieldSet fs(layout);
+    em::build_random_stable(fs, 97);
+    engine->run(fs, 5);
+    EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << spec;
+    EXPECT_EQ(engine->stats().shards, 2) << spec;
+  }
 }
 
 // ------------------------------------------------------------- transports
@@ -388,7 +413,6 @@ namespace transport_seam {
 class CountingTransport final : public dist::Transport {
  public:
   struct Counts {
-    std::atomic<int> pulls{0};
     std::atomic<int> stages{0};
     std::atomic<int> unstages{0};
   };
@@ -397,11 +421,6 @@ class CountingTransport final : public dist::Transport {
       : counts_(counts), local_(dist::make_local_transport()) {}
 
   std::string name() const override { return "counting"; }
-  void pull_planes(grid::FieldSet& dst, const grid::FieldSet& src, int src_k0,
-                   int dst_k0, int planes) override {
-    ++counts_->pulls;
-    local_->pull_planes(dst, src, src_k0, dst_k0, planes);
-  }
   void stage(const grid::FieldSet& src, dist::HaloBuffer& buf) override {
     ++counts_->stages;
     local_->stage(src, buf);
@@ -432,78 +451,29 @@ TEST(Transport, LocalIsRegisteredAndUnknownNamesThrow) {
 
 TEST(Transport, ExplicitLocalTransportMatchesDefaultExchange) {
   // The same corrupted-ghost refresh as HaloExchange.PullRefreshesGhostPlanes,
-  // but through an explicitly constructed LocalTransport: the seam must
-  // reproduce the pre-seam exchange bit-for-bit.
-  Layout L({4, 5, 12});
-  FieldSet global(L);
-  em::build_random_stable(global, 7);
-  Partitioner part(L.interior(), 3, 2);
-  std::vector<std::unique_ptr<FieldSet>> sets;
-  std::vector<FieldSet*> ptrs;
-  for (int s = 0; s < 3; ++s) {
-    sets.push_back(std::make_unique<FieldSet>(part.shard_layout(s)));
-    part.scatter(global, *sets.back(), s);
-    ptrs.push_back(sets.back().get());
-  }
-  for (int s = 0; s < 3; ++s) {
-    const ShardExtent& e = part.shard(s);
-    for (int c = 0; c < kernels::kNumComps; ++c) {
-      grid::Field& f = sets[static_cast<std::size_t>(s)]->field(static_cast<kernels::Comp>(c));
-      for (int g = e.ext_z0(); g < e.z0; ++g)
-        for (int j = 0; j < 5; ++j)
-          for (int i = 0; i < 4; ++i) f.set(i, j, e.to_local(g), {1e9, -1e9});
-      for (int g = e.z1; g < e.ext_z1(); ++g)
-        for (int j = 0; j < 5; ++j)
-          for (int i = 0; i < 4; ++i) f.set(i, j, e.to_local(g), {1e9, -1e9});
-    }
-  }
-  dist::HaloExchange halo(part, ptrs, dist::make_local_transport());
-  EXPECT_EQ(halo.transport().name(), "local");
-  for (int s = 0; s < 3; ++s) halo.exchange_for(s);
-  for (int s = 0; s < 3; ++s) {
-    const ShardExtent& e = part.shard(s);
-    double worst = 0.0;
-    for (int c = 0; c < kernels::kNumComps; ++c) {
-      const grid::Field& f =
-          sets[static_cast<std::size_t>(s)]->field(static_cast<kernels::Comp>(c));
-      const grid::Field& g = global.field(static_cast<kernels::Comp>(c));
-      for (int gz = e.ext_z0(); gz < e.ext_z1(); ++gz)
-        for (int j = 0; j < 5; ++j)
-          for (int i = 0; i < 4; ++i)
-            worst = std::max(worst,
-                             std::abs(f.at(i, j, e.to_local(gz)) - g.at(i, j, gz)));
-    }
-    EXPECT_EQ(worst, 0.0) << "shard " << s;
-  }
+  // but through an explicitly constructed LocalTransport.
+  EXPECT_EQ(refresh_corrupted_ghosts(dist::make_local_transport()), "local");
 }
 
-TEST_F(ShardedEquivalence, RegisteredTransportDrivesBothExchangeModes) {
+TEST_F(ShardedEquivalence, RegisteredTransportDrivesTheExchange) {
   // A transport registered by name is selected through ShardedParams (and
   // therefore through `sharded(...,transport=...)` specs), carries every
-  // plane of both protocols, and stays bit-exact in barrier AND overlap
-  // mode — exactly the seam an MpiTransport plugs into.
+  // plane and stays bit-exact — exactly the seam an MpiTransport plugs
+  // into.
   static transport_seam::CountingTransport::Counts counts;
   dist::register_transport("counting", [] {
     return std::make_unique<transport_seam::CountingTransport>(&counts);
   });
-  for (bool overlap : {false, true}) {
-    const int pulls_before = counts.pulls.load();
-    const int stages_before = counts.stages.load();
-    const int unstages_before = counts.unstages.load();
-    dist::ShardedParams p;
-    p.num_shards = 3;
-    p.exchange_interval = 2;
-    p.overlap = overlap;
-    p.transport = "counting";
-    EXPECT_EQ(run_diff(p, {5, 6, 13}, 7, grid::XBoundary::Dirichlet, 83), 0.0)
-        << "overlap=" << overlap;
-    if (overlap) {
-      EXPECT_GT(counts.stages.load(), stages_before);
-      EXPECT_GT(counts.unstages.load(), unstages_before);
-    } else {
-      EXPECT_GT(counts.pulls.load(), pulls_before);
-    }
-  }
+  const int stages_before = counts.stages.load();
+  const int unstages_before = counts.unstages.load();
+  dist::ShardedParams p;
+  p.num_shards = 3;
+  p.exchange_interval = 2;
+  p.transport = "counting";
+  EXPECT_EQ(run_diff(p, {5, 6, 13}, 7, grid::XBoundary::Dirichlet, 83), 0.0);
+  EXPECT_GT(counts.stages.load(), stages_before);
+  EXPECT_GT(counts.unstages.load(), unstages_before);
+  EXPECT_EQ(last_stats_.halo_staged_bytes, last_stats_.halo_unstaged_bytes);
 }
 
 TEST(Transport, UnknownNameErrorListsRegisteredTransports) {
@@ -519,7 +489,6 @@ TEST(Transport, UnknownNameErrorListsRegisteredTransports) {
       EXPECT_NE(msg.find("registered:"), std::string::npos) << msg;
       EXPECT_NE(msg.find("local"), std::string::npos) << msg;
       EXPECT_NE(msg.find("shm"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("socket"), std::string::npos) << msg;
     }
   };
   expect_listing([] { (void)dist::make_transport("warp-drive"); });
@@ -530,20 +499,19 @@ TEST(Transport, UnknownNameErrorListsRegisteredTransports) {
     (void)dist::make_sharded_engine(p);
   });
   EXPECT_NO_THROW(dist::require_transport("shm"));
-  EXPECT_NO_THROW(dist::require_transport("socket"));
 }
 
 // ------------------------------------------ transport conformance suite
 
 /// Every registered transport must satisfy the seam contract on the same
 /// bar LocalTransport set: bit-exact equivalence with the serial reference
-/// in barrier AND overlap modes, shallow and deep intervals, with a
-/// partial final round.  New transports get this suite for free — they
-/// only have to register.
+/// at shallow and deep intervals, with a partial final round, and truthful
+/// staged accounting.  New transports get this suite for free — they only
+/// have to register.
 class TransportConformance : public ShardedEquivalence,
                              public ::testing::WithParamInterface<std::string> {};
 
-TEST_P(TransportConformance, BitExactInBothModesWithStagedAccounting) {
+TEST_P(TransportConformance, BitExactWithStagedAccounting) {
   const std::string name = GetParam();
   try {
     (void)dist::make_transport(name);
@@ -553,28 +521,20 @@ TEST_P(TransportConformance, BitExactInBothModesWithStagedAccounting) {
     // failure.
     GTEST_SKIP() << name << " unavailable here: " << e.what();
   }
-  for (bool overlap : {false, true}) {
-    for (int interval : {1, 3}) {
-      dist::ShardedParams p;
-      p.num_shards = 3;
-      p.exchange_interval = interval;
-      p.overlap = overlap;
-      p.transport = name;
-      EXPECT_EQ(run_diff(p, {5, 6, 14}, 7, grid::XBoundary::Dirichlet, 89), 0.0)
-          << "transport=" << name << " overlap=" << overlap << " T=" << interval;
-      EXPECT_EQ(last_stats_.halo_transport, name);
-      if (overlap) {
-        // Staged accounting: every donated byte was packed once and
-        // unpacked once, and both halves were timed.
-        EXPECT_GT(last_stats_.halo_staged_bytes, 0)
-            << "transport=" << name << " T=" << interval;
-        EXPECT_EQ(last_stats_.halo_staged_bytes, last_stats_.halo_unstaged_bytes);
-        EXPECT_GE(last_stats_.halo_stage_seconds, 0.0);
-        EXPECT_GE(last_stats_.halo_unstage_seconds, 0.0);
-      } else {
-        EXPECT_EQ(last_stats_.halo_staged_bytes, 0);  // pulls never stage
-      }
-    }
+  for (int interval : {1, 3}) {
+    dist::ShardedParams p;
+    p.num_shards = 3;
+    p.exchange_interval = interval;
+    p.transport = name;
+    EXPECT_EQ(run_diff(p, {5, 6, 14}, 7, grid::XBoundary::Dirichlet, 89), 0.0)
+        << "transport=" << name << " T=" << interval;
+    EXPECT_EQ(last_stats_.halo_transport, name);
+    // Staged accounting: every donated byte was packed once and unpacked
+    // once, and both halves were timed.
+    EXPECT_GT(last_stats_.halo_staged_bytes, 0) << "transport=" << name << " T=" << interval;
+    EXPECT_EQ(last_stats_.halo_staged_bytes, last_stats_.halo_unstaged_bytes);
+    EXPECT_GE(last_stats_.halo_stage_seconds, 0.0);
+    EXPECT_GE(last_stats_.halo_unstage_seconds, 0.0);
   }
 }
 
@@ -665,40 +625,36 @@ TEST(ShardedPrepare, RepeatedRunsReuseShardStateAndStayExact) {
     ++builds;
     return exec::make_naive_engine(ctx.resolved_threads());
   });
-  for (bool overlap : {false, true}) {
-    const Layout layout({5, 6, 12});
-    dist::ShardedParams p;
-    p.num_shards = 2;
-    p.inners = {exec::parse_engine_spec("counted_naive")};
-    p.registry = &reg;
-    p.overlap = overlap;  // flow counters must reset across reused runs
-    builds = 0;
-    auto engine = dist::make_sharded_engine(p);
-    EXPECT_EQ(builds.load(), 1);  // the constructor's validation build
+  const Layout layout({5, 6, 12});
+  dist::ShardedParams p;
+  p.num_shards = 2;
+  p.inners = {exec::parse_engine_spec("counted_naive")};
+  p.registry = &reg;
+  auto engine = dist::make_sharded_engine(p);
+  EXPECT_EQ(builds.load(), 1);  // the constructor's validation build
 
-    for (int rep = 0; rep < 3; ++rep) {
-      FieldSet reference(layout);
-      em::build_random_stable(reference, 61 + static_cast<unsigned>(rep));
-      FieldSet fs(layout);
-      em::build_random_stable(fs, 61 + static_cast<unsigned>(rep));
-      kernels::reference_step(reference, 3);
-      engine->run(fs, 3);
-      EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0)
-          << "overlap=" << overlap << " rep " << rep;
-      EXPECT_EQ(builds.load(), 1 + 2) << "overlap=" << overlap << " rep " << rep;
-    }
-
-    // A different grid forces a transparent rebuild.
-    const Layout other({4, 5, 9});
-    FieldSet reference(other);
-    em::build_random_stable(reference, 67);
-    FieldSet fs(other);
-    em::build_random_stable(fs, 67);
-    kernels::reference_step(reference, 2);
-    engine->run(fs, 2);
-    EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << "overlap=" << overlap;
-    EXPECT_EQ(builds.load(), 1 + 2 + 2) << "overlap=" << overlap;
+  // Flow counters must reset across reused runs.
+  for (int rep = 0; rep < 3; ++rep) {
+    FieldSet reference(layout);
+    em::build_random_stable(reference, 61 + static_cast<unsigned>(rep));
+    FieldSet fs(layout);
+    em::build_random_stable(fs, 61 + static_cast<unsigned>(rep));
+    kernels::reference_step(reference, 3);
+    engine->run(fs, 3);
+    EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << "rep " << rep;
+    EXPECT_EQ(builds.load(), 1 + 2) << "rep " << rep;
   }
+
+  // A different grid forces a transparent rebuild.
+  const Layout other({4, 5, 9});
+  FieldSet reference(other);
+  em::build_random_stable(reference, 67);
+  FieldSet fs(other);
+  em::build_random_stable(fs, 67);
+  kernels::reference_step(reference, 2);
+  engine->run(fs, 2);
+  EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0);
+  EXPECT_EQ(builds.load(), 1 + 2 + 2);
 }
 
 // ------------------------------------------------- shard failure handling
@@ -751,43 +707,35 @@ void register_flaky(exec::EngineRegistry& reg, std::atomic<int>* armed = nullptr
 TEST(ShardedFailure, ThrowingInnerEngineCannotDeadlockOtherShards) {
   // Shard 1 of 3 throws — immediately, or mid-run after one good exchange
   // round — while shards 0 and 2 keep draining the round schedule.  The
-  // run must terminate and rethrow the injected exception on the caller,
-  // in BOTH exchange modes: no shard may be left spinning at the
-  // SpinBarrier (barrier mode) or on a post/wait round counter (overlap
-  // mode; the FlakyEngine also never runs the installed prologue, which
-  // exercises the inline-wait fallback and the drain redo).
+  // run must terminate and rethrow the injected exception on the caller:
+  // no shard may be left spinning on a post/wait round counter.
   exec::EngineRegistry reg;
   failure::register_flaky(reg);
-  for (bool overlap : {false, true}) {
-    for (int good_chunks : {0, 1}) {
-      dist::ShardedParams p;
-      p.num_shards = 3;
-      p.exchange_interval = 1;
-      p.overlap = overlap;
-      const std::string flaky = "flaky(good=" + std::to_string(good_chunks) + ")";
-      p.inners = {exec::parse_engine_spec("naive"), exec::parse_engine_spec(flaky),
-                  exec::parse_engine_spec("naive")};
-      p.registry = &reg;
-      const Layout layout({5, 5, 12});
-      FieldSet fs(layout);
-      em::build_random_stable(fs, 71);
-      auto engine = dist::make_sharded_engine(p);
-      EXPECT_THROW(engine->run(fs, 5), std::runtime_error)
-          << "overlap=" << overlap << " good_chunks=" << good_chunks;
-    }
+  for (int good_chunks : {0, 1}) {
+    dist::ShardedParams p;
+    p.num_shards = 3;
+    p.exchange_interval = 1;
+    const std::string flaky = "flaky(good=" + std::to_string(good_chunks) + ")";
+    p.inners = {exec::parse_engine_spec("naive"), exec::parse_engine_spec(flaky),
+                exec::parse_engine_spec("naive")};
+    p.registry = &reg;
+    const Layout layout({5, 5, 12});
+    FieldSet fs(layout);
+    em::build_random_stable(fs, 71);
+    auto engine = dist::make_sharded_engine(p);
+    EXPECT_THROW(engine->run(fs, 5), std::runtime_error) << "good_chunks=" << good_chunks;
   }
 }
 
 TEST(ShardedFailure, OverlappedRunRecoversAfterAFailedRun) {
-  // After a failed overlapped run, the same prepared engine — the same
-  // shard state and inners, the flaky one now disarmed — must run cleanly
-  // again (flow counters reset per run) and stay bit-exact.
+  // After a failed run, the same prepared engine — the same shard state
+  // and inners, the flaky one now disarmed — must run cleanly again (flow
+  // counters reset per run) and stay bit-exact.
   std::atomic<int> armed{1};
   exec::EngineRegistry reg;
   failure::register_flaky(reg, &armed);
   dist::ShardedParams p;
   p.num_shards = 2;
-  p.overlap = true;
   p.inners = {exec::parse_engine_spec("naive"), exec::parse_engine_spec("flaky(good=1)")};
   p.registry = &reg;
   const Layout layout({5, 5, 12});
@@ -800,6 +748,39 @@ TEST(ShardedFailure, OverlappedRunRecoversAfterAFailedRun) {
   em::build_random_stable(reference, 79);
   FieldSet fs2(layout);
   em::build_random_stable(fs2, 79);
+  kernels::reference_step(reference, 4);
+  engine->run(fs2, 4);
+  EXPECT_EQ(FieldSet::max_field_diff(fs2, reference), 0.0);
+}
+
+/// Disarms fault injection after each test, pass or fail.
+class ShardedHaloFault : public ::testing::Test {
+ protected:
+  void TearDown() override { fault::disarm(); }
+};
+
+TEST_F(ShardedHaloFault, ThrowingHaloWaitFailsTheRunCleanly) {
+  // The second unstage of the run throws inside a shard's halo wait, before
+  // its MWD inner (two one-thread groups) starts the round.  The run must
+  // rethrow the injected error after every shard has joined; the same
+  // engine must then run bit-exact.
+  dist::ShardedParams p;
+  p.num_shards = 3;
+  p.exchange_interval = 1;
+  p.threads_per_shard = 2;
+  p.inners = {exec::parse_engine_spec("mwd(dw=4,groups=2)")};
+  auto engine = dist::make_sharded_engine(p);
+  const Layout layout({5, 8, 14});
+  FieldSet fs(layout);
+  em::build_random_stable(fs, 77);
+  fault::configure("transport.unstage=once:2");
+  EXPECT_THROW(engine->run(fs, 4), fault::InjectedFault);
+  EXPECT_EQ(fault::stats().at("transport.unstage").fires, 1u);
+
+  FieldSet reference(layout);
+  em::build_random_stable(reference, 81);
+  FieldSet fs2(layout);
+  em::build_random_stable(fs2, 81);
   kernels::reference_step(reference, 4);
   engine->run(fs2, 4);
   EXPECT_EQ(FieldSet::max_field_diff(fs2, reference), 0.0);

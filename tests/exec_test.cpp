@@ -211,7 +211,6 @@ exec::EngineStats sample_stats(double seconds, double mlups) {
   s.halo_bytes_moved = 4096;
   s.halo_wait_seconds = 0.0625;
   s.halo_hidden_seconds = 0.03125;
-  s.halo_overlapped = true;
   s.halo_staged_bytes = 2048;
   s.halo_unstaged_bytes = 2048;
   s.halo_stage_seconds = 0.015625;
@@ -240,7 +239,6 @@ TEST(EngineStatsMerge, DefaultIsLeftAndRightIdentity) {
   EXPECT_EQ(a.halo_bytes_moved, x.halo_bytes_moved);
   EXPECT_EQ(a.halo_wait_seconds, x.halo_wait_seconds);
   EXPECT_EQ(a.halo_hidden_seconds, x.halo_hidden_seconds);
-  EXPECT_EQ(a.halo_overlapped, x.halo_overlapped);
   EXPECT_EQ(a.halo_staged_bytes, x.halo_staged_bytes);
   EXPECT_EQ(a.halo_unstaged_bytes, x.halo_unstaged_bytes);
   EXPECT_EQ(a.halo_stage_seconds, x.halo_stage_seconds);
@@ -257,7 +255,6 @@ TEST(EngineStatsMerge, DefaultIsLeftAndRightIdentity) {
   EXPECT_EQ(b.mlups, x.mlups);
   EXPECT_EQ(b.shards, x.shards);
   EXPECT_EQ(b.halo_bytes_moved, x.halo_bytes_moved);
-  EXPECT_EQ(b.halo_overlapped, x.halo_overlapped);
   EXPECT_EQ(b.halo_staged_bytes, x.halo_staged_bytes);
   EXPECT_EQ(b.halo_transport, x.halo_transport);
   EXPECT_STREQ(b.kernel_isa, x.kernel_isa);
@@ -266,7 +263,6 @@ TEST(EngineStatsMerge, DefaultIsLeftAndRightIdentity) {
 TEST(EngineStatsMerge, SumsTimesAndCountersMaxesPeaks) {
   exec::EngineStats a = sample_stats(1.0, 30.0);
   a.shards = 4;
-  a.halo_overlapped = false;
   a.kernel_isa = "scalar";
   a.halo_transport.clear();  // resting default, must promote from b
   const exec::EngineStats b = sample_stats(3.0, 10.0);
@@ -287,10 +283,9 @@ TEST(EngineStatsMerge, SumsTimesAndCountersMaxesPeaks) {
   EXPECT_EQ(a.halo_unstaged_bytes, 4096);
   EXPECT_EQ(a.halo_stage_seconds, 0.03125);
   EXPECT_EQ(a.halo_unstage_seconds, 0.015625);
-  // Peaks: shard max, overlap or, ISA promotion away from "scalar" and
-  // transport promotion away from empty (consistent with accumulate_work).
+  // Peaks: shard max, ISA promotion away from "scalar" and transport
+  // promotion away from empty (consistent with accumulate_work).
   EXPECT_EQ(a.shards, 4);
-  EXPECT_TRUE(a.halo_overlapped);
   EXPECT_STREQ(a.kernel_isa, "avx2");
   EXPECT_EQ(a.halo_transport, "shm");
   // Wall-time-weighted mean throughput: (30*1 + 10*3) / 4.
@@ -314,7 +309,6 @@ TEST(EngineStatsJson, RoundTripsEveryField) {
   EXPECT_EQ(y.halo_bytes_moved, x.halo_bytes_moved);
   EXPECT_EQ(y.halo_wait_seconds, x.halo_wait_seconds);
   EXPECT_EQ(y.halo_hidden_seconds, x.halo_hidden_seconds);
-  EXPECT_EQ(y.halo_overlapped, x.halo_overlapped);
   EXPECT_EQ(y.halo_staged_bytes, x.halo_staged_bytes);
   EXPECT_EQ(y.halo_unstaged_bytes, x.halo_unstaged_bytes);
   EXPECT_EQ(y.halo_stage_seconds, x.halo_stage_seconds);
@@ -432,24 +426,6 @@ TEST(EngineRegistry, GlobalKnowsEveryKindAndRejectsUnknowns) {
                std::invalid_argument);
 }
 
-TEST(EngineRegistry, ShardedAutoHonoursAValuedOverlapPin) {
-  // `overlap=0|1` must pin the tuner's overlap axis exactly like the bare
-  // flag, in both directions.
-  exec::EngineRegistry& reg = exec::EngineRegistry::global();
-  exec::BuildContext ctx;
-  ctx.grid = {8, 8, 16};
-  ctx.threads = 2;
-  grid::Layout L(ctx.grid);
-  grid::FieldSet fs(L);
-  em::build_random_stable(fs, 67);
-  auto pinned_off = reg.build("sharded(inner=auto,shards=2,overlap=0)", ctx);
-  pinned_off->run(fs, 3);
-  EXPECT_FALSE(pinned_off->stats().halo_overlapped);
-  auto pinned_on = reg.build("sharded(inner=auto,shards=2,overlap=1)", ctx);
-  pinned_on->run(fs, 3);
-  EXPECT_TRUE(pinned_on->stats().halo_overlapped);
-}
-
 TEST(EngineRegistry, BuildsStockEnginesWithContextAndSpecThreads) {
   exec::EngineRegistry& reg = exec::EngineRegistry::global();
   exec::BuildContext ctx;
@@ -521,37 +497,6 @@ TEST(MwdEngine, CachedTilingSurvivesRepeatedAndChunkedRuns) {
       tiling::DiamondTiling dt(3, 9, steps);
       EXPECT_EQ(eng->stats().tiles_executed, static_cast<std::int64_t>(dt.tiles().size()));
     }
-  }
-}
-
-TEST(Engines, PrologueRunsOncePerRunBeforeFieldUpdates) {
-  grid::Layout L({6, 8, 7});
-  for (auto make : {+[] { return exec::make_naive_engine(2); },
-                    +[] { return exec::make_spatial_engine(2); }, +[] {
-                      exec::MwdParams p;
-                      p.dw = 2;
-                      p.num_tgs = 2;
-                      return exec::make_mwd_engine(p);
-                    }}) {
-    auto eng = make();
-    ASSERT_TRUE(eng->supports_run_prologue());
-    int calls = 0;
-    eng->set_run_prologue([&] { ++calls; });
-    grid::FieldSet ref(L), fs(L);
-    em::build_random_stable(ref, 83);
-    em::build_random_stable(fs, 83);
-    kernels::reference_step(ref, 2);
-    eng->run(fs, 2);
-    EXPECT_EQ(calls, 1) << eng->name();
-    EXPECT_EQ(grid::FieldSet::max_field_diff(fs, ref), 0.0) << eng->name();
-    eng->run(fs, 1);
-    EXPECT_EQ(calls, 2) << eng->name();
-
-    // A throwing prologue must abort the run cleanly (no stranded team).
-    eng->set_run_prologue([] { throw std::runtime_error("injected prologue failure"); });
-    EXPECT_THROW(eng->run(fs, 1), std::runtime_error) << eng->name();
-    eng->set_run_prologue(nullptr);
-    EXPECT_NO_THROW(eng->run(fs, 1)) << eng->name();
   }
 }
 

@@ -79,8 +79,8 @@ TEST(Simulation, ShardedAutoTunedEnginesAgreeWithNaive) {
       "sharded(inner=auto,tune=measured)",            // measured plans
       "sharded(shards=2,inner0=mwd(dw=2,groups=1),"   // explicit per-shard MWD
       "inner1=mwd(dw=2,groups=1))",
-      "sharded(shards=2,overlap,inner=naive)",        // overlapped, fixed inner
-      "sharded(shards=2,overlap,inner=auto)",         // overlap pinned via tuner
+      "sharded(shards=2,overlap,inner=naive)",        // legacy key, fixed inner
+      "sharded(shards=2,overlap,inner=auto)",         // legacy key, tuned inner
   };
   for (const char* spec : specs) {
     Simulation sim(small_cfg(spec));

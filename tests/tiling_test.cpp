@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <set>
 #include <thread>
@@ -306,125 +305,21 @@ TEST(TileQueue, ConcurrentDrainCompletesEachTileOnce) {
   EXPECT_GE(q.max_ready_observed(), 1u);
 }
 
-// ------------------------------------------------ two-class gated queue
-
-TEST(TileClasses, ExchangeTilesAreExactlyTheEarlyHalfSteps) {
-  DiamondTiling dt(3, 18, 6);
-  const auto classes = classify_exchange_tiles(dt);
-  ASSERT_EQ(classes.size(), dt.tiles().size());
-  std::size_t boundary = 0;
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    const auto slices = dt.slices(dt.tiles()[i]);
-    ASSERT_FALSE(slices.empty());
-    const bool touches_entry_state = slices.front().s <= 1;
-    EXPECT_EQ(classes[i] == TileClass::Boundary, touches_entry_state) << "tile " << i;
-    if (classes[i] == TileClass::Boundary) ++boundary;
-  }
-  // The exchange-coupled prologue is a strict subset: later diamond rows
-  // never touch round-entry state.
-  EXPECT_GT(boundary, 0u);
-  EXPECT_LT(boundary, classes.size());
-  // Every DAG source reads round-entry state, so sources are all Boundary:
-  // gating the Boundary class gates the whole round, which is what makes a
-  // lazily-acquired halo safe.
-  TileDag dag(dt);
-  for (std::int32_t t : dag.initial_ready()) {
-    EXPECT_EQ(classes[static_cast<std::size_t>(t)], TileClass::Boundary);
-  }
-}
-
-TEST(TileQueue, BoundaryClassDrainsFirstAmongReady) {
-  DiamondTiling dt(2, 16, 6);
-  TileDag dag(dt);
-  const auto classes = classify_exchange_tiles(dt);
-  TileQueue q(dag, classes);
-  EXPECT_EQ(q.boundary_tiles(),
-            static_cast<std::size_t>(
-                std::count(classes.begin(), classes.end(), TileClass::Boundary)));
-  // Serial drain: whenever a boundary tile was ready, no interior tile may
-  // be served in its place.
-  while (auto t = q.pop()) {
-    // After popping an interior tile, completing it and every ready check
-    // is monotone; the invariant is enforced inside pop(), so it suffices
-    // to drain and confirm every tile still completes exactly once.
-    q.complete(*t);
-  }
-  EXPECT_EQ(q.completed(), dag.num_tiles());
-}
-
-TEST(TileQueue, GateWithholdsBoundaryTilesUntilOpened) {
-  DiamondTiling dt(2, 12, 4);
-  TileDag dag(dt);
-  const auto classes = classify_exchange_tiles(dt);
-  TileQueue q(dag, classes, /*gate_closed=*/true);
-  EXPECT_FALSE(q.gate_open());
-
-  // All DAG sources are boundary-class, so nothing is servable: a popper
-  // must park until the gate opens.
-  std::atomic<bool> got_tile{false};
-  std::thread popper([&] {
-    const auto t = q.pop();
-    got_tile.store(t.has_value());
-    if (t) q.complete(*t);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(got_tile.load());
-  q.open_gate();
-  popper.join();
-  EXPECT_TRUE(got_tile.load());
-  EXPECT_TRUE(q.gate_open());
-
-  // The rest drains normally.
-  while (auto t = q.pop()) q.complete(*t);
-  EXPECT_EQ(q.completed(), dag.num_tiles());
-}
-
-TEST(TileQueue, AbortWakesParkedPoppers) {
-  DiamondTiling dt(2, 12, 4);
-  TileDag dag(dt);
-  TileQueue q(dag, classify_exchange_tiles(dt), /*gate_closed=*/true);
-  std::vector<std::thread> poppers;
-  std::atomic<int> nullopts{0};
-  for (int w = 0; w < 3; ++w) {
-    poppers.emplace_back([&] {
-      if (!q.pop()) nullopts.fetch_add(1);
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.abort();  // a failed halo prologue must not strand the team
-  for (auto& th : poppers) th.join();
-  EXPECT_EQ(nullopts.load(), 3);
-  EXPECT_TRUE(q.aborted());
-}
-
-TEST(TileQueue, ResetRestoresGateAndDrainsAgain) {
+TEST(TileQueue, ResetDrainsAgain) {
   DiamondTiling dt(2, 14, 5);
   TileDag dag(dt);
-  TileQueue q(dag, classify_exchange_tiles(dt), /*gate_closed=*/true);
+  TileQueue q(dag);
   for (int rep = 0; rep < 3; ++rep) {
-    EXPECT_FALSE(q.gate_open()) << "rep " << rep;
-    q.open_gate();
     std::size_t popped = 0;
     while (auto t = q.pop()) {
       ++popped;
       q.complete(*t);
     }
     EXPECT_EQ(popped, dag.num_tiles()) << "rep " << rep;
+    EXPECT_EQ(q.completed(), dag.num_tiles()) << "rep " << rep;
     q.reset();
+    EXPECT_EQ(q.completed(), 0u) << "rep " << rep;
   }
-  // reset() also clears an abort.
-  q.abort();
-  EXPECT_TRUE(q.aborted());
-  q.reset();
-  EXPECT_FALSE(q.aborted());
-}
-
-TEST(TileQueue, RejectsMismatchedClassification) {
-  DiamondTiling dt(2, 12, 4);
-  TileDag dag(dt);
-  EXPECT_THROW(TileQueue(dag, std::vector<TileClass>{TileClass::Boundary}),
-               std::invalid_argument);
-  EXPECT_THROW(TileQueue(dag, {}, /*gate_closed=*/true), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "dist/halo.hpp"
 #include "dist/partition.hpp"
 #include "em/coefficients.hpp"
 #include "exec/engine_registry.hpp"
@@ -45,56 +46,27 @@ TEST(ExchangeIntervals, SingleShardNeedsNoExchange) {
   EXPECT_EQ(tune::enumerate_exchange_intervals(1, {32, 32, 64}), (std::vector<int>{1}));
 }
 
-TEST(OverlapAxis, CollapsesOnASingleShard) {
-  EXPECT_EQ(tune::enumerate_overlap_modes(1), (std::vector<bool>{false}));
-  EXPECT_EQ(tune::enumerate_overlap_modes(2), (std::vector<bool>{false, true}));
-  EXPECT_EQ(tune::enumerate_overlap_modes(4), (std::vector<bool>{false, true}));
-}
-
-TEST(OverlapAxis, StageOneChargesOnlyExposedBytesWithOverlap) {
+TEST(ShardedTune, StageOneChargesOnlyTheWorstShardsBytes) {
   ShardedTuneConfig cfg;
   cfg.threads = 4;
   cfg.grid = {32, 32, 40};
   cfg.machine = models::haswell18();
-  const tune::ShardedCandidate barrier = tune::score_sharded_candidate(4, 2, cfg, false);
-  const tune::ShardedCandidate overlap = tune::score_sharded_candidate(4, 2, cfg, true);
-  EXPECT_FALSE(barrier.plan.overlap);
-  EXPECT_TRUE(overlap.plan.overlap);
-  // Same payload, but the overlapped protocol exposes only the worst single
-  // shard's pull (interior shards pull two sides of a 4-way split, i.e. a
-  // quarter of the 6 one-sided donations), so its exposed bytes are lower
-  // and its predicted score strictly higher.
-  EXPECT_DOUBLE_EQ(barrier.halo_bytes_per_step, overlap.halo_bytes_per_step);
-  EXPECT_DOUBLE_EQ(barrier.exposed_halo_bytes_per_step, barrier.halo_bytes_per_step);
-  EXPECT_LT(overlap.exposed_halo_bytes_per_step, overlap.halo_bytes_per_step);
-  EXPECT_GT(overlap.predicted_mlups, barrier.predicted_mlups);
-  // Overlap must not change what is computed, only how it synchronizes.
-  EXPECT_DOUBLE_EQ(barrier.redundant_lup_fraction, overlap.redundant_lup_fraction);
-}
-
-TEST(OverlapAxis, SearchedByDefaultAndSerializedInPlans) {
-  ShardedTuneConfig cfg;
-  cfg.threads = 4;
-  cfg.grid = {16, 16, 64};
-  cfg.machine = models::haswell18();
-  cfg.timed_refinement = false;
-  const ShardedTuneResult r = tune::autotune_sharded(cfg);
-  bool saw_overlap = false, saw_barrier_multi = false;
-  for (const tune::ShardedCandidate& c : r.ranked) {
-    if (c.plan.num_shards <= 1) {
-      EXPECT_FALSE(c.plan.overlap);  // never emitted for K = 1
-      continue;
-    }
-    (c.plan.overlap ? saw_overlap : saw_barrier_multi) = true;
-    if (c.plan.overlap) {
-      EXPECT_NE(c.plan.describe().find(",overlap"), std::string::npos);
-    }
-    EXPECT_EQ(c.plan.to_spec().flag("overlap"), c.plan.overlap);
-  }
-  EXPECT_TRUE(saw_overlap);
-  EXPECT_TRUE(saw_barrier_multi);
-  // The CSV carries the axis (one column between payload and predictions).
-  EXPECT_NE(r.to_csv().find(",overlap,"), std::string::npos);
+  const tune::ShardedCandidate c = tune::score_sharded_candidate(4, 2, cfg);
+  const dist::Partitioner part(cfg.grid, 4, 2);
+  // The post/wait exchange proceeds pairwise, so only the worst single
+  // shard's pull is exposed: an interior shard pulls two sides of a 4-way
+  // split, a third of the 6 one-sided donations.
+  EXPECT_DOUBLE_EQ(c.halo_bytes_per_step,
+                   static_cast<double>(dist::HaloExchange::bytes_per_exchange(part)) / 2.0);
+  EXPECT_DOUBLE_EQ(
+      c.exposed_halo_bytes_per_step,
+      static_cast<double>(dist::HaloExchange::max_shard_bytes_per_exchange(part)) / 2.0);
+  EXPECT_DOUBLE_EQ(c.exposed_halo_bytes_per_step * 3.0, c.halo_bytes_per_step);
+  EXPECT_GT(c.predicted_mlups, 0.0);
+  // A single shard exchanges nothing.
+  const tune::ShardedCandidate one = tune::score_sharded_candidate(1, 1, cfg);
+  EXPECT_EQ(one.halo_bytes_per_step, 0.0);
+  EXPECT_EQ(one.exposed_halo_bytes_per_step, 0.0);
 }
 
 TEST(ExchangeIntervals, CappedByLimitThenByOwnedPlanes) {
@@ -114,14 +86,13 @@ TEST(ExchangeIntervals, CappedByLimitThenByOwnedPlanes) {
 // ---------------------------------------------------------- transport axis
 
 TEST(TransportAxis, CostFactorOrdersTransportsByDistanceFromTheCore) {
-  // local (direct neighbor read) < shm (one pack/unpack through a mapped
-  // ring) < unknown/network-class (mpi) < socket (kernel round trip per
-  // frame).  The tuner multiplies predicted halo seconds by this factor,
-  // so the ordering is what steers plan ranking.
+  // local (in-process memcpy) < shm (one pack/unpack through a mapped
+  // ring) < unknown/network-class (mpi).  The tuner multiplies predicted
+  // halo seconds by this factor, so the ordering is what steers plan
+  // ranking.
   EXPECT_DOUBLE_EQ(tune::transport_cost_factor("local"), 1.0);
   EXPECT_LT(tune::transport_cost_factor("local"), tune::transport_cost_factor("shm"));
   EXPECT_LT(tune::transport_cost_factor("shm"), tune::transport_cost_factor("mpi"));
-  EXPECT_LT(tune::transport_cost_factor("mpi"), tune::transport_cost_factor("socket"));
 }
 
 TEST(TransportAxis, PlanCarriesTransportThroughSpecAndParams) {
@@ -221,28 +192,14 @@ TEST(ShardedTune, FixedAxesPinTheSearch) {
   cfg.timed_refinement = false;
   cfg.fixed_shards = 2;
   cfg.fixed_interval = 3;
-  // Pinned decomposition, free overlap axis: exactly the barrier and the
-  // overlapped variant of the one pinned (K, T) point remain.
+  // Pinned decomposition: exactly the one pinned (K, T) point remains.
   const ShardedTuneResult r = tune::autotune_sharded(cfg);
-  ASSERT_EQ(r.ranked.size(), 2u);
-  for (const tune::ShardedCandidate& c : r.ranked) {
-    EXPECT_EQ(c.plan.num_shards, 2);
-    EXPECT_EQ(c.plan.exchange_interval, 3);
-  }
-  EXPECT_NE(r.ranked[0].plan.overlap, r.ranked[1].plan.overlap);
+  ASSERT_EQ(r.ranked.size(), 1u);
   EXPECT_EQ(r.best.plan.num_shards, 2);
   EXPECT_EQ(r.best.plan.exchange_interval, 3);
-
-  // Pinning the overlap axis too collapses the space to a single plan.
-  cfg.fixed_overlap = 0;
-  const ShardedTuneResult pinned_off = tune::autotune_sharded(cfg);
-  ASSERT_EQ(pinned_off.ranked.size(), 1u);
-  EXPECT_FALSE(pinned_off.best.plan.overlap);
-  cfg.fixed_overlap = 1;
-  const ShardedTuneResult pinned_on = tune::autotune_sharded(cfg);
-  ASSERT_EQ(pinned_on.ranked.size(), 1u);
-  EXPECT_TRUE(pinned_on.best.plan.overlap);
-  cfg.fixed_overlap = -1;
+  // There is one exchange protocol, so plans carry no overlap argument.
+  EXPECT_FALSE(r.best.plan.to_spec().has("overlap"));
+  EXPECT_EQ(r.best.plan.describe().find("overlap"), std::string::npos);
 
   // A pinned interval deeper than the smallest owned block is clamped, not
   // rejected: 40 planes over 4 shards own 10 each.
@@ -301,12 +258,8 @@ TEST(ShardedTune, EveryEmittablePlanIsBitExactVsUndecomposedRun) {
   const ShardedTuneResult r = tune::autotune_sharded(cfg);
   ASSERT_FALSE(r.ranked.empty());
 
-  // The ranked set must cover the overlap axis, so this loop is also the
-  // bit-exactness proof for every overlapped plan the tuner can emit.
-  bool covers_overlap = false;
   const Layout layout(cfg.grid);
   for (const tune::ShardedCandidate& c : r.ranked) {
-    covers_overlap = covers_overlap || c.plan.overlap;
     FieldSet reference(layout);
     em::build_random_stable(reference, /*seed=*/91);
     FieldSet fs(layout);
@@ -318,10 +271,7 @@ TEST(ShardedTune, EveryEmittablePlanIsBitExactVsUndecomposedRun) {
     engine->run(fs, steps);
     EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << c.plan.describe();
     EXPECT_EQ(engine->stats().shards, c.plan.num_shards) << c.plan.describe();
-    EXPECT_EQ(engine->stats().halo_overlapped, c.plan.overlap && c.plan.num_shards > 1)
-        << c.plan.describe();
   }
-  EXPECT_TRUE(covers_overlap);
 }
 
 TEST(ShardedTune, ChooseShardCountNeverExceedsAnyShardZExtent) {

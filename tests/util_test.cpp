@@ -94,12 +94,6 @@ TEST(SpinBarrier, ReusableManyTimes) {
   other.join();
 }
 
-TEST(CountingBarrier, CountsEpisodes) {
-  CountingBarrier b(1);
-  for (int i = 0; i < 5; ++i) b.arrive_and_wait();
-  EXPECT_EQ(b.episodes(), 5);
-}
-
 TEST(Timer, MeasuresElapsedAndResets) {
   Timer t;
   double sink = 0.0;
