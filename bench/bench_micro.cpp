@@ -11,6 +11,9 @@
 //       --benchmark_filter=BM_EngineSpec
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "cachesim/cache.hpp"
 #include "common.hpp"
 #include "em/coefficients.hpp"
@@ -85,6 +88,27 @@ void BM_UpdateCompRow(benchmark::State& state) {
   state.SetLabel(kernels::row_isa());
 }
 BENCHMARK(BM_UpdateCompRow)->Arg(16)->Arg(24)->Arg(128);
+
+/// BM_UpdateCompRow's set-up on a one-class grid with periodic x, for Hyz:
+/// an x-axis component, so every call also updates the wrap cell (x = 0)
+/// as a one-cell row.  The vector bodies hoist a one-class row's (t, c)
+/// entry; BM_UpdateCompRow's random classes never take that form.
+void BM_UpdateCompRowUniform(benchmark::State& state) {
+  const int nx = static_cast<int>(state.range(0));
+  grid::Layout L({nx, 8, 8});
+  grid::FieldSet fs(L);
+  em::build_random_stable(fs, 1);
+  std::fill_n(fs.classes(), L.padded_cells(), std::uint8_t{3});
+  fs.set_x_boundary(grid::XBoundary::Periodic);
+  for (auto _ : state) {
+    kernels::update_comp_row(fs, kernels::Comp::Hyz, 0, nx, 4, 4);
+    benchmark::DoNotOptimize(fs.field(kernels::Comp::Hyz).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * nx);
+  state.SetLabel(kernels::row_isa());
+}
+BENCHMARK(BM_UpdateCompRowUniform)->Arg(16)->Arg(24)->Arg(128);
 
 void BM_ReferenceStep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

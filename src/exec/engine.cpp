@@ -102,7 +102,8 @@ EngineStats EngineStats::from_json(const util::JsonValue& v) {
   s.halo_transport = v.get_string("halo_transport", "");
   // kernel_isa is a static never-dangling string in EngineStats; intern the
   // known names and degrade anything else to the scalar default.
-  s.kernel_isa = v.get_string("kernel_isa", "scalar") == "avx2" ? "avx2" : "scalar";
+  const std::string isa = v.get_string("kernel_isa", "scalar");
+  s.kernel_isa = isa == "avx512" ? "avx512" : isa == "avx2" ? "avx2" : "scalar";
   return s;
 }
 

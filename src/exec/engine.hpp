@@ -54,10 +54,11 @@ struct EngineStats {
   /// dynamic, hence a string rather than a static pointer.
   std::string halo_transport;
   /// Body of kernels::update_row the engine's rows ran: kernels::row_isa(),
-  /// "avx2" or "scalar" (static string, never dangles).  The stock engines
-  /// set it on every run, so a CPU on which dispatch missed AVX2 shows here
-  /// and in the bench CSVs rather than only as lost throughput.  Defaults
-  /// to "scalar" so stats of wrappers and test doubles are never empty.
+  /// "avx512", "avx2" or "scalar" (static string, never dangles).  The
+  /// stock engines set it on every run, so a CPU on which dispatch missed
+  /// a vector body shows here and in the bench CSVs rather than only as
+  /// lost throughput.  Defaults to "scalar" so stats of wrappers and test
+  /// doubles are never empty.
   const char* kernel_isa = "scalar";
 
   /// Exchange stall a shard could not hide: wait + copy - hidden.
@@ -75,7 +76,7 @@ struct EngineStats {
 
   /// Exact inverse of to_json() (unknown fields ignored, absent fields
   /// keep their defaults).  `kernel_isa` is interned to a static
-  /// "avx2" / "scalar" string so the pointer never dangles.
+  /// "avx512" / "avx2" / "scalar" string so the pointer never dangles.
   static EngineStats from_json(const util::JsonValue& v);
 
   /// Fold another run's stats into this one so batch results aggregate

@@ -95,10 +95,13 @@ class MwdEngine final : public Engine {
               kernels::update_comp_row(fs, comp, xc.begin, xc.end, y, z);
             },
             [&] {
+              ++local_barriers;
+              // A one-thread group's barrier never waits: count the
+              // episode without reading the clock twice.
+              if (tg_size == 1) return;
               util::Timer bt;
               st.barrier.arrive_and_wait();
               local_barrier_ns += static_cast<std::int64_t>(bt.seconds() * 1e9);
-              ++local_barriers;
             });
         // All group members must finish the tile before it is published as
         // complete (the barrier also provides the release/acquire ordering

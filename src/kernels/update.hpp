@@ -9,28 +9,51 @@
 // The paper streams t and c as per-cell arrays.  Engines instead pass a
 // row of uint8 coefficient classes and a table slice: cell i reads t and c
 // from entry cls[i], so a row streams 1 byte of coefficient index per cell
-// instead of 32 (grid/fieldset.hpp).  Without a class row the kernel reads
-// per-cell t and c, the dense form the row probes time; both forms are the
-// same loop under a compile-time switch.
+// instead of 32 (grid/fieldset.hpp).  A vector body takes the row's (t, c)
+// from one of three sources, each a compile-time form of one loop:
+//   - dense: per-cell t and c, without a class row (the row probes);
+//   - indexed: table entry cls[i] for cell i;
+//   - uniform: one entry, loaded and arranged once before the loop, when
+//     every class byte of the row equals the first (every x-row of a
+//     layered scene, and all but its interface rows of a textured one).
 //
-// update_row() runs one of two bodies, chosen once per process: on x86 CPUs
-// with AVX2, two complex cells per 256-bit vector (the paper's Sec. VI SIMD
-// item); elsewhere the portable loop update_row_scalar().  row_isa() names
-// the body that runs, and engines record it as EngineStats::kernel_isa.
+// Bodies, chosen once per process by CPUID, the widest first:
+//   - "avx512" (AVX-512F): four complex cells per 512-bit vector; the last
+//     partial vector runs under a lane mask, so masked-off cells are neither
+//     loaded nor stored and no scalar remainder is compiled for this target;
+//   - "avx2": two cells per 256-bit vector, an odd last cell through the
+//     scalar loop;
+//   - "scalar": the portable loop update_row_scalar(), the reference.
+// row_isa() names the body that runs, engines record it as
+// EngineStats::kernel_isa, and row_bodies() lists every body this CPU can
+// run, so tests can compare each against the reference.
 //
-// The two bodies are bit-exact, so every engine stays bitwise identical to
-// the naive reference whichever body a CPU picks.  The scalar loop is the
-// reference: the AVX2 body evaluates each output in the scalar loop's order,
-// operand for operand, folding `+ c.im*im` into an addsub of the negated
-// product (negation is exact).  Bit-exactness also needs the absence of
-// fused multiply-adds: the AVX2 body is compiled for target "avx2" alone,
-// never "fma" or a -march level that includes it, so no multiply can be
-// fused into the add after it, and the build pins -ffp-contract=off for the
-// scalar loop (CMakeLists.txt notes why -march flags with FMA stay out).
+// Every body is bit-exact with the scalar loop, so every engine stays
+// bitwise identical to the naive reference whichever body a CPU picks.  The
+// scalar loop evaluates, per cell,
+//   re' = ((x.re*t.re - x.im*t.im) - c.re*re) + c.im*im
+//   im' = ((x.re*t.im + x.im*t.re) - c.re*im) - c.im*re   (+ src),
+// and the vector bodies the same sums with signed coefficients,
+//   re' = ((x.re*t.re + x.im*(-t.im)) - c.re*re) + im*c.im
+//   im' = ((x.im*t.re + x.re*t.im) - c.re*im) + re*(-c.im),
+// which is identical bit for bit because a + (-b) == a - b,
+// (-a)*b == -(a*b) and + and * commute exactly in IEEE arithmetic.  In
+// vector form that is x*tr + swap(x)*ti - cr*d + swap(d)*ci with
+// tr = [t.re t.re], ti = [-t.im t.im], cr = [c.re c.re], ci = [c.im -c.im]
+// and d = [re im]: two in-lane swaps per vector, and for a uniform row no
+// per-vector coefficient shuffle at all.  (NaN payloads may differ; NaN
+// stays NaN.)  Bit-exactness also needs the absence of fused multiply-adds.
+// The AVX2 body is compiled for target "avx2" alone, never "fma" or a
+// -march level that includes it.  AVX-512F itself has 512-bit FMA
+// instructions, so for the avx512 body only the build's -ffp-contract=off
+// keeps the compiler from fusing a multiply into the add after it
+// (simd_test fails without it; CMakeLists.txt notes why -march flags with
+// FMA stay out).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "grid/fieldset.hpp"
 #include "kernels/components.hpp"
@@ -59,26 +82,33 @@ struct RowArgs {
 /// names.
 void update_row(const RowArgs& args) noexcept;
 
-/// "avx2" or "scalar": the body update_row() runs on this CPU (a static
-/// string, never dangles).
+/// "avx512", "avx2" or "scalar": the body update_row() runs on this CPU (a
+/// static string, never dangles).
 const char* row_isa() noexcept;
 
 /// The portable loop; bit-for-bit what update_row() computes.
 void update_row_scalar(const RowArgs& args) noexcept;
+
+/// One body of update_row(): its row_isa() name and its entry point.
+struct RowBody {
+  const char* isa;
+  void (*run)(const RowArgs&) noexcept;
+};
+
+/// Every body this CPU can run: the scalar loop first, then "avx2" and
+/// "avx512" where CPUID reports them.  update_row() runs the last one.
+std::vector<RowBody> row_bodies();
 
 /// Convenience wrapper: updates component `comp` for the x-range [x0, x1)
 /// of row (j, k) of `fs`.  Resolves arrays, table slice, shift offset and
 /// diff sign from the component table; an x-axis row of a set with several
 /// x slices runs once per run of equal slice.  Under XBoundary::Periodic,
 /// the x-shift components peel the wrap-around cell (x = 0 for Ĥ, x = nx-1
-/// for Ê) and read the partner values from the opposite domain edge — the
-/// paper's Sec. VI scheme.  The wrapped reads target the *other* field's previous
+/// for Ê) into a one-cell update_row() whose shift, +(nx-1) or -(nx-1),
+/// reads the partner values at the opposite domain edge — the paper's
+/// Sec. VI scheme.  The wrapped reads target the *other* field's previous
 /// half-step values, so tiling and thread splits stay race-free unchanged.
 void update_comp_row(grid::FieldSet& fs, Comp comp, int x0, int x1, int j, int k);
-
-/// One cell with an explicit partner-read x position (the peeled iteration).
-void update_cell_wrapped(grid::FieldSet& fs, Comp comp, int i, int i_partner, int j,
-                         int k);
 
 /// Offset in complex cells of a component's shifted partner read.
 std::ptrdiff_t shift_offset(const grid::Layout& layout, Comp comp);

@@ -191,9 +191,19 @@ TEST(Engines, ReportStats) {
   EXPECT_GT(mwd->stats().barrier_episodes, 0);
   // Wait-time instrumentation: non-negative and bounded by wall time x threads.
   EXPECT_GE(mwd->stats().queue_wait_seconds, 0.0);
-  EXPECT_GE(mwd->stats().barrier_wait_seconds, 0.0);
   EXPECT_LE(mwd->stats().queue_wait_seconds,
             mwd->stats().seconds * mwd->threads() + 1.0);
+  // One-thread groups count their barrier episodes but never wait in them,
+  // so no barrier wait is timed.
+  EXPECT_EQ(mwd->stats().barrier_wait_seconds, 0.0);
+
+  // A two-thread group times its barrier waits.
+  p.num_tgs = 1;
+  p.tc = 2;
+  auto split = exec::make_mwd_engine(p);
+  split->run(fs, 2);
+  EXPECT_GT(split->stats().barrier_wait_seconds, 0.0);
+  EXPECT_LE(split->stats().barrier_wait_seconds, split->stats().seconds * split->threads());
 }
 
 exec::EngineStats sample_stats(double seconds, double mlups) {
@@ -321,6 +331,22 @@ TEST(EngineStatsJson, RoundTripsEveryField) {
   EXPECT_EQ(y.halo_exposed_seconds(), x.halo_exposed_seconds());
   // Canonical form: serializing the round-tripped stats is a fixed point.
   EXPECT_EQ(y.to_json(), x.to_json());
+}
+
+TEST(EngineStatsJson, RoundTripsEveryKernelIsa) {
+  // Every body name the row kernel can report survives a JobResult or
+  // daemon round trip; an unknown name degrades to "scalar".
+  for (const char* isa : {"scalar", "avx2", "avx512", kernels::row_isa()}) {
+    exec::EngineStats x = sample_stats(2.0, 10.0);
+    x.kernel_isa = isa;
+    const exec::EngineStats y =
+        exec::EngineStats::from_json(util::JsonValue::parse(x.to_json()));
+    EXPECT_STREQ(y.kernel_isa, isa);
+    EXPECT_EQ(y.to_json(), x.to_json());
+  }
+  const exec::EngineStats unknown =
+      exec::EngineStats::from_json(util::JsonValue::parse("{\"kernel_isa\":\"neon\"}"));
+  EXPECT_STREQ(unknown.kernel_isa, "scalar");
 }
 
 TEST(EngineStatsJson, AbsentFieldsKeepDefaultsUnknownIgnored) {
