@@ -12,7 +12,8 @@ twice through emwd-client — once against the daemon and once --inprocess
   * every job row reports status ok;
   * the daemon's status JSON is well-formed and self-consistent (scheduler
     accounting identity, every admitted job dispatched and streamed);
-  * a client `shutdown` op stops the daemon cleanly (exit code 0).
+  * a client `shutdown` op stops the daemon cleanly (exit code 0) and the
+    daemon removes its socket file.
 
 Artifacts written for upload: <prefix>_daemon.csv, <prefix>_inprocess.csv,
 <prefix>_status.json, <prefix>_daemon.log.
@@ -118,6 +119,8 @@ def main():
             rc = None
         if rc is not None and rc != 0:
             failures.append(f"daemon exited {rc} after shutdown op")
+        if rc is not None and os.path.exists(args.socket):
+            failures.append(f"daemon left its socket file {args.socket} behind")
 
         if failures:
             print("FAIL:", file=sys.stderr)

@@ -69,7 +69,7 @@ inline double measured_naive_bpl(const grid::Extents& scaled_grid,
                                  std::uint64_t llc_bytes, int steps = 4) {
   grid::Layout L(scaled_grid);
   cachesim::Hierarchy h = cachesim::Hierarchy::llc_only(llc_bytes);
-  return cachesim::replay_naive(L, steps, h).bytes_per_lup();
+  return cachesim::replay_spatial(L, steps, L.ny(), h).bytes_per_lup();
 }
 
 /// Best MWD candidate under a thread-group-size restriction (tg_size == g),

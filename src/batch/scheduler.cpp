@@ -12,7 +12,6 @@
 #include "fault/inject.hpp"
 #include "io/snapshot.hpp"
 #include "obs/trace.hpp"
-#include "tune/autotuner.hpp"
 #include "util/affinity.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -388,28 +387,19 @@ Scheduler::RunOutcome Scheduler::run_attempt(Job& job, std::size_t seq, int slot
     // Resolve any `auto` once per (spec, shape, threads) via the PlanCache,
     // so the pool key below is concrete and later same-shape jobs skip the
     // tuner entirely.
-    exec::EngineSpec spec = cfg.spec();
     exec::BuildContext ctx;
     ctx.grid = cfg.grid;
     ctx.threads = cfg.threads;
-    if (cfg_.cache_plans) {
-      spec = plan_cache_.resolve(spec, ctx, &r.plan_cache_hit);
-    } else if (tune::spec_needs_tuning(spec)) {
-      spec = tune::resolve_auto_spec(spec, ctx);
-    }
+    const exec::EngineSpec spec = plan_cache_.resolve(cfg.spec(), ctx, &r.plan_cache_hit);
     r.engine_spec = exec::to_string(spec);
     cfg.engine_spec = r.engine_spec;
 
-    thiim::BorrowedState borrowed;
     fault::maybe_fail("sched.acquire");
-    if (cfg_.pool_engines) {
-      engine_lease = pool_.acquire_engine(spec, ctx);
-      fields_lease = pool_.acquire_fields(cfg.grid);
-      r.engine_reused = engine_lease.reused;
-      borrowed.engine = engine_lease.engine.get();
-      borrowed.fields = fields_lease.fields.get();
-    }
-    thiim::Simulation sim(cfg, borrowed);
+    engine_lease = pool_.acquire_engine(spec, ctx);
+    fields_lease = pool_.acquire_fields(cfg.grid);
+    r.engine_reused = engine_lease.reused;
+    thiim::Simulation sim(cfg, thiim::BorrowedState{engine_lease.engine.get(),
+                                                    fields_lease.fields.get()});
     if (job.setup) {
       job.setup(sim, job);
     } else {

@@ -49,10 +49,6 @@ struct SchedulerConfig {
   int threads_per_job = 0;
   /// Pin executors (and thus engine teams) to their slot's cpus.
   bool pin_slots = true;
-  /// Reuse engines/FieldSets across same-shape jobs via the EnginePool.
-  bool pool_engines = true;
-  /// Memoize `auto`-spec tuning via the PlanCache.
-  bool cache_plans = true;
   /// Idle-inventory bounds forwarded to EnginePool::set_max_idle: a
   /// long-lived scheduler (the emwdd daemon) keeps at most this many idle
   /// engines / FieldSets, LRU-evicting the rest.  <= 0 = unbounded.

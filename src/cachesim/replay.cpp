@@ -63,7 +63,8 @@ TrafficResult finish(Hierarchy& h) {
   return r;
 }
 
-/// Locate a full interior tile (all 2*dw-1 slices present, nothing clipped).
+/// Locate a full interior tile (all 2*dw-1 slices present, nothing clipped)
+/// of a dw-diamond tiling; dw full steps suffice for a complete diamond.
 tiling::TileCoord find_interior_tile(const tiling::DiamondTiling& dt) {
   for (const auto& t : dt.tiles()) {
     const auto slices = dt.slices(t);
@@ -79,6 +80,14 @@ tiling::TileCoord find_interior_tile(const tiling::DiamondTiling& dt) {
       "replay_single_tile: no unclipped tile; enlarge ny/nt relative to dw");
 }
 
+/// Walk one full interior tile the way a one-thread group runs it.
+template <class RowFn>
+void walk_interior_tile(const grid::Layout& L, int dw, int bz, RowFn&& row) {
+  const tiling::DiamondTiling dt(dw, L.ny(), std::max(dw, 2));
+  exec::traverse_tile(dt, find_interior_tile(dt), bz, L.nz(), exec::TgShape{},
+                      exec::TgSlot{}, row, [] {});
+}
+
 }  // namespace
 
 void touch_comp_row(Hierarchy& h, const grid::Layout& L, kernels::Comp comp, int x0,
@@ -86,43 +95,15 @@ void touch_comp_row(Hierarchy& h, const grid::Layout& L, kernels::Comp comp, int
   touch_row_impl(h, L, comp, x0, x1, j, k);
 }
 
-TrafficResult replay_naive(const grid::Layout& L, int steps, Hierarchy& h) {
-  comp_row_cells = 0;
-  const int nx = L.nx(), ny = L.ny(), nz = L.nz();
-  for (int step = 0; step < steps; ++step) {
-    for (bool h_phase : {true, false}) {
-      const auto& comps = h_phase ? kernels::kHComps : kernels::kEComps;
-      for (kernels::Comp comp : comps) {
-        for (int k = 0; k < nz; ++k) {
-          for (int j = 0; j < ny; ++j) touch_row_impl(h, L, comp, 0, nx, j, k);
-        }
-      }
-    }
-  }
-  return finish(h);
-}
-
 TrafficResult replay_spatial(const grid::Layout& L, int steps, int block_y, Hierarchy& h) {
   comp_row_cells = 0;
-  const int nx = L.nx(), ny = L.ny(), nz = L.nz();
-  const int by = std::clamp(block_y, 1, ny);
+  const int nx = L.nx();
   for (int step = 0; step < steps; ++step) {
     for (bool h_phase : {true, false}) {
-      const auto& comps = h_phase ? kernels::kHComps : kernels::kEComps;
-      for (kernels::Comp comp : comps) {
-        if (kernels::info(comp).axis == kernels::Axis::Z) {
-          for (int jb = 0; jb < ny; jb += by) {
-            const int jend = std::min(ny, jb + by);
-            for (int k = 0; k < nz; ++k) {
-              for (int j = jb; j < jend; ++j) touch_row_impl(h, L, comp, 0, nx, j, k);
-            }
-          }
-        } else {
-          for (int k = 0; k < nz; ++k) {
-            for (int j = 0; j < ny; ++j) touch_row_impl(h, L, comp, 0, nx, j, k);
-          }
-        }
-      }
+      exec::traverse_sweep(h_phase, L.ny(), 0, L.nz(), block_y,
+                           [&](kernels::Comp comp, int y, int z) {
+                             touch_row_impl(h, L, comp, 0, nx, y, z);
+                           });
     }
   }
   return finish(h);
@@ -130,7 +111,8 @@ TrafficResult replay_spatial(const grid::Layout& L, int steps, int block_y, Hier
 
 /// Drive the MWD schedule and hand every row to `row(batch_slot, comp, y, z)`.
 /// Tiles are grouped by DAG wavefront (mutually independent); within a wave,
-/// batches of num_tgs tiles have their per-(front, half-step) quanta
+/// batches of num_tgs tiles have their per-(front, half-step) quanta — the
+/// exec::traverse_slice calls traverse_tile makes between barriers —
 /// interleaved round-robin, approximating the cache mixing of num_tgs
 /// concurrently-executing thread groups.  batch_slot identifies which of
 /// the num_tgs "virtual groups" issued the row.
@@ -178,18 +160,11 @@ void drive_mwd(const grid::Layout& L, int steps, const exec::MwdParams& params,
           const std::size_t nslices = p.slices.size();
           if (nslices == 0 || q >= nslices * static_cast<std::size_t>(p.fronts)) continue;
           const int f = static_cast<int>(q / nslices);
-          const tiling::RowSlice& sl = p.slices[q % nslices];
-          const tiling::ZWindow win =
-              tiling::z_window(f * params.bz, params.bz, sl.s, p.slices.front().s, nz);
-          if (win.empty()) continue;
-          const auto& comps = sl.h_phase ? kernels::kHComps : kernels::kEComps;
-          for (kernels::Comp comp : comps) {
-            for (int z = win.lo; z < win.hi; ++z) {
-              for (int y = sl.y_lo; y < sl.y_hi; ++y) {
-                row(static_cast<int>(slot), comp, y, z);
-              }
-            }
-          }
+          exec::traverse_slice(p.slices[q % nslices], f * params.bz, params.bz,
+                               p.slices.front().s, nz, exec::TgShape{}, exec::TgSlot{},
+                               [&](kernels::Comp comp, int /*s*/, int y, int z) {
+                                 row(static_cast<int>(slot), comp, y, z);
+                               });
         }
       }
     }
@@ -247,7 +222,7 @@ PrivateSharedResult replay_mwd_private(const grid::Layout& L, int steps,
   fronts.reserve(static_cast<std::size_t>(params.num_tgs));
   for (int g = 0; g < params.num_tgs; ++g) {
     fronts.emplace_back(private_bytes);
-    }
+  }
   for (auto& f : fronts) f.next = &shared;
 
   drive_mwd(L, steps, params, [&](int slot, kernels::Comp comp, int y, int z) {
@@ -272,95 +247,55 @@ PrivateSharedResult replay_mwd_private(const grid::Layout& L, int steps,
 
 TrafficResult replay_single_tile(const grid::Layout& L, int dw, int bz, Hierarchy& h) {
   comp_row_cells = 0;
-  // Time extent dw full steps suffices for a complete diamond.
-  tiling::DiamondTiling dt(dw, L.ny(), std::max(dw, 2));
-  const tiling::TileCoord tile = find_interior_tile(dt);
-  const exec::TgShape shape{1, 1, 1};
-  const exec::TgSlot slot{};
-  exec::traverse_tile(
-      dt, tile, bz, L.nz(), shape, slot,
-      [&](kernels::Comp comp, int /*s*/, int y, int z) {
-        touch_row_impl(h, L, comp, 0, L.nx(), y, z);
-      },
-      [] {});
-  TrafficResult r = finish(h);
+  walk_interior_tile(L, dw, bz, [&](kernels::Comp comp, int /*s*/, int y, int z) {
+    touch_row_impl(h, L, comp, 0, L.nx(), y, z);
+  });
   // A single tile updates cells over multiple half-steps; report LUPs as
   // cell-half-step-component updates / 12 as usual.
-  return r;
+  return finish(h);
 }
 
 std::uint64_t tile_working_set_bytes(const grid::Layout& L, int dw, int bz) {
-  tiling::DiamondTiling dt(dw, L.ny(), std::max(dw, 2));
-  const tiling::TileCoord tile = find_interior_tile(dt);
-  std::unordered_set<std::uint64_t> lines;
-  const exec::TgShape shape{1, 1, 1};
-  const exec::TgSlot slot{};
+  // Distinct lines of every access (a row's write hits its first read's).
+  struct LineSet {
+    std::unordered_set<std::uint64_t> lines;
+    void access_range(std::uint64_t addr, std::uint64_t bytes, bool /*write*/) {
+      for (std::uint64_t a = addr / 64u; a <= (addr + bytes - 1) / 64u; ++a) lines.insert(a);
+    }
+  } sink;
 
   // Working set that must stay resident for full in-tile reuse: the lines
   // touched while the wavefront sweeps one front position, plus the previous
   // position's still-live lines.  We measure the steady-state two-front
-  // footprint in the middle of the z range.
-  const auto slices = dt.slices(tile);
-  if (slices.empty()) return 0;
-  const int fronts = tiling::num_fronts(L.nz(), bz, slices.front().s, slices.back().s);
-  const int mid = fronts / 2;
-
-  Hierarchy sink = Hierarchy::llc_only(1ull << 30);  // discard; we only want rows
-  exec::traverse_tile(
-      dt, tile, bz, L.nz(), shape, slot,
-      [&](kernels::Comp comp, int s, int y, int z) {
-        // Count lines only for the two middle front positions.
-        const int rel = tiling::z_lag(s) - tiling::z_lag(slices.front().s);
-        const int f = (z + rel) / bz;
-        if (f != mid && f != mid - 1) return;
-        const kernels::CompInfo& ci = kernels::info(comp);
-        const std::uint64_t base = L.at(0, y, z);
-        const std::uint64_t bytes = static_cast<std::uint64_t>(L.nx()) * 16u;
-        const std::ptrdiff_t shift = kernels::shift_offset(L, comp);
-        auto add = [&](int array, std::uint64_t cell_base) {
-          const std::uint64_t lo = array_addr(array, cell_base) / 64u;
-          const std::uint64_t hi = (array_addr(array, cell_base) + bytes - 1) / 64u;
-          for (std::uint64_t a = lo; a <= hi; ++a) lines.insert(a);
-        };
-        add(field_id(comp), base);
-        add(coeff_t_id(comp), base);
-        add(coeff_c_id(comp), base);
-        if (ci.src_index >= 0) add(source_id(ci.src_index), base);
-        add(field_id(ci.partner_a), base);
-        add(field_id(ci.partner_b), base);
-        add(field_id(ci.partner_a), base + shift);
-        add(field_id(ci.partner_b), base + shift);
-      },
-      [] {});
-  return static_cast<std::uint64_t>(lines.size()) * 64u;
+  // footprint in the middle of the z range: the traverse_tile quanta of
+  // those two fronts.
+  const tiling::DiamondTiling dt(dw, L.ny(), std::max(dw, 2));
+  const auto slices = dt.slices(find_interior_tile(dt));
+  const int s_base = slices.front().s;
+  const int mid = tiling::num_fronts(L.nz(), bz, s_base, slices.back().s) / 2;
+  for (int f = mid - 1; f <= mid; ++f) {
+    for (const tiling::RowSlice& sl : slices) {
+      exec::traverse_slice(sl, f * bz, bz, s_base, L.nz(), exec::TgShape{}, exec::TgSlot{},
+                           [&](kernels::Comp comp, int /*s*/, int y, int z) {
+                             touch_row_impl(sink, L, comp, 0, L.nx(), y, z);
+                           });
+    }
+  }
+  return static_cast<std::uint64_t>(sink.lines.size()) * 64u;
 }
 
 ReuseProfile tile_reuse_profile(const grid::Layout& L, int dw, int bz) {
-  tiling::DiamondTiling dt(dw, L.ny(), std::max(dw, 2));
-  const tiling::TileCoord tile = find_interior_tile(dt);
-  ReuseProfile profile;
-  const exec::TgShape shape{1, 1, 1};
-  const exec::TgSlot slot{};
-  exec::traverse_tile(
-      dt, tile, bz, L.nz(), shape, slot,
-      [&](kernels::Comp comp, int /*s*/, int y, int z) {
-        const kernels::CompInfo& ci = kernels::info(comp);
-        const std::uint64_t base = L.at(0, y, z);
-        const std::uint64_t bytes = static_cast<std::uint64_t>(L.nx()) * 16u;
-        const std::ptrdiff_t shift = kernels::shift_offset(L, comp);
-        profile.touch_range(array_addr(field_id(comp), base), bytes);
-        profile.touch_range(array_addr(coeff_t_id(comp), base), bytes);
-        profile.touch_range(array_addr(coeff_c_id(comp), base), bytes);
-        if (ci.src_index >= 0) {
-          profile.touch_range(array_addr(source_id(ci.src_index), base), bytes);
-        }
-        profile.touch_range(array_addr(field_id(ci.partner_a), base), bytes);
-        profile.touch_range(array_addr(field_id(ci.partner_b), base), bytes);
-        profile.touch_range(array_addr(field_id(ci.partner_a), base + shift), bytes);
-        profile.touch_range(array_addr(field_id(ci.partner_b), base + shift), bytes);
-      },
-      [] {});
-  return profile;
+  // The profile records the reads: a row's write hits its first read's lines.
+  struct ReadSink {
+    ReuseProfile profile;
+    void access_range(std::uint64_t addr, std::uint64_t bytes, bool write) {
+      if (!write) profile.touch_range(addr, bytes);
+    }
+  } sink;
+  walk_interior_tile(L, dw, bz, [&](kernels::Comp comp, int /*s*/, int y, int z) {
+    touch_row_impl(sink, L, comp, 0, L.nx(), y, z);
+  });
+  return sink.profile;
 }
 
 }  // namespace emwd::cachesim

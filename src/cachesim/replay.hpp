@@ -34,10 +34,9 @@ struct TrafficResult {
 void touch_comp_row(Hierarchy& h, const grid::Layout& L, kernels::Comp comp, int x0,
                     int x1, int j, int k);
 
-/// Naive engine stream: 12 separate full-grid nests per step.
-TrafficResult replay_naive(const grid::Layout& L, int steps, Hierarchy& h);
-
-/// Spatially blocked stream with y-block height `block_y`.
+/// Untiled engine stream (exec::traverse_sweep): 12 separate full-grid nests
+/// per step, the z-shift ones y-blocked by `block_y` rows.  block_y >= L.ny()
+/// is the naive engine's stream.
 TrafficResult replay_spatial(const grid::Layout& L, int steps, int block_y, Hierarchy& h);
 
 /// MWD stream: diamond tiles scheduled wave-by-wave, with the streams of

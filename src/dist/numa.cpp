@@ -37,13 +37,4 @@ bool bind_current_thread_to_node(const NumaTopology& topo, int node) {
   return util::pin_current_thread(topo.node_cpus[static_cast<std::size_t>(node)]);
 }
 
-SavedAffinity save_current_affinity() {
-  const util::ThreadAffinity saved = util::get_thread_affinity();
-  return SavedAffinity{saved.cpus, saved.valid};
-}
-
-void restore_affinity(const SavedAffinity& saved) {
-  util::restore_thread_affinity(util::ThreadAffinity{saved.cpus, saved.valid});
-}
-
 }  // namespace emwd::dist

@@ -33,14 +33,4 @@ int node_for_shard(const NumaTopology& topo, int shard, int num_shards);
 /// untouched) when the platform or the cpu set doesn't support it.
 bool bind_current_thread_to_node(const NumaTopology& topo, int node);
 
-/// Saved cpu affinity of a thread, for restoring after a bound region (the
-/// caller may itself be running under taskset/cgroup restrictions).
-struct SavedAffinity {
-  std::vector<int> cpus;
-  bool valid = false;
-};
-
-SavedAffinity save_current_affinity();
-void restore_affinity(const SavedAffinity& saved);
-
 }  // namespace emwd::dist

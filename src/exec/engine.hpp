@@ -4,6 +4,9 @@
 //   spatial  — same nests with y-blocking for the layer condition (III-B)
 //   mwd      — multicore wavefront diamond blocking (Sec. II); thread-group
 //              size 1 is the paper's 1WD, full-socket group is 18WD-style.
+//
+// naive and spatial are one engine (exec/spatial_engine.cpp) walking
+// exec::traverse_sweep: naive is spatial with a block height by >= ny.
 #pragma once
 
 #include <cstdint>
@@ -157,6 +160,7 @@ struct MwdParams {
 };
 
 std::unique_ptr<Engine> make_naive_engine(int threads);
+/// block_y <= 0 sizes the y-block from the host's L3 per thread.
 std::unique_ptr<Engine> make_spatial_engine(int threads, int block_y = 0);
 std::unique_ptr<Engine> make_mwd_engine(const MwdParams& params);
 

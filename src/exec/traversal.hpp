@@ -1,10 +1,16 @@
-// Shared tile traversal: the single source of truth for the MWD iteration
-// order, used both by the computing engine (exec/mwd_engine) and by the
-// cache-simulator replay (cachesim/replay).  Keeping one traversal
-// guarantees the "measured" memory traffic is the traffic of the exact
-// access stream the real engine generates.
+// Shared traversals: the single source of truth for every engine's
+// iteration order, used both by the computing engines and by the
+// cache-simulator replay (cachesim/replay).  Keeping one traversal per
+// engine family guarantees the "measured" memory traffic is the traffic of
+// the exact access stream the real engine generates:
+//   traverse_sweep — the untiled half-step of the naive and spatial
+//                    engines (exec/spatial_engine), naive being by >= ny;
+//   traverse_tile  — one MWD diamond tile (exec/mwd_engine, and through
+//                    it the wavefront engine), built from traverse_slice,
+//                    which the replay also interleaves across groups.
 #pragma once
 
+#include <algorithm>
 #include <utility>
 
 #include "kernels/components.hpp"
@@ -40,16 +46,60 @@ struct TgSlot {
   }
 };
 
+/// Traverse one half-step of the untiled sweep over the z-planes [z0, z1),
+/// invoking row(comp, y, z) for every x-row.  The phase's six components run
+/// in update order.  A z-shift component walks y-blocks of `by` rows
+/// outermost, so that the block's previous-plane layer of its two partner
+/// arrays stays cached (the layer condition of paper Sec. III-B); the other
+/// components sweep plane by plane.  by >= ny is the naive order (Sec.
+/// III-A): every component plane by plane, y innermost.  by < 1 reads as 1.
+template <class RowFn>
+void traverse_sweep(bool h_phase, int ny, int z0, int z1, int by, RowFn&& row) {
+  const auto& comps = h_phase ? kernels::kHComps : kernels::kEComps;
+  for (kernels::Comp comp : comps) {
+    const int block =
+        kernels::info(comp).axis == kernels::Axis::Z ? std::max(1, std::min(by, ny)) : ny;
+    for (int y0 = 0; y0 < ny; y0 += block) {
+      const int y1 = std::min(ny, y0 + block);
+      for (int z = z0; z < z1; ++z) {
+        for (int y = y0; y < y1; ++y) row(comp, y, z);
+      }
+    }
+  }
+}
+
+/// One quantum of a diamond tile: the half-step slice `sl` at wavefront
+/// front position `front`, for a tile whose first half-step is `s_base`.
+/// Invokes row(comp, s, y, z) for every x-row of the slice's z-window this
+/// slot owns: components outermost, then z-planes, then y-rows.  Slot rc
+/// owns comps {rc, rc+tc, ...} of the half-step's six; the window's planes
+/// go round-robin over rz.  The x split is the caller's job via the slot's
+/// rx (the row callback receives the full row; callers slice [x0, x1)
+/// themselves with split_range).  Returns false, invoking nothing, when the
+/// window is empty; that is uniform across a group's slots.
+template <class RowFn>
+bool traverse_slice(const tiling::RowSlice& sl, int front, int bz, int s_base, int nz,
+                    const TgShape& shape, const TgSlot& slot, RowFn&& row) {
+  const tiling::ZWindow win = tiling::z_window(front, bz, sl.s, s_base, nz);
+  if (win.empty()) return false;
+  const auto& comps = sl.h_phase ? kernels::kHComps : kernels::kEComps;
+  for (int ci = slot.rc; ci < 6; ci += shape.tc) {
+    for (int z = win.lo + slot.rz; z < win.hi; z += shape.tz) {
+      for (int y = sl.y_lo; y < sl.y_hi; ++y) {
+        row(comps[static_cast<std::size_t>(ci)], sl.s, y, z);
+      }
+    }
+  }
+  return true;
+}
+
 /// Traverse one diamond tile with the z-wavefront, invoking
 ///   row(comp, s, y, z)        for every x-row this slot owns, and
 ///   barrier()                 between half-steps (all slots, same count).
 ///
 /// Iteration order (identical for every slot): wavefront front positions
-/// outermost, then half-steps ascending, then components, z-planes, y-rows.
-/// Component split: slot rc owns comps {rc, rc+tc, ...} of the half-step's
-/// six.  z split: round-robin over the window's planes.  The x split is the
-/// caller's job via the slot's rx (the row callback receives the full row;
-/// callers slice [x0, x1) themselves with split_range).
+/// outermost, then half-steps ascending, each one traverse_slice quantum.
+/// A quantum with an empty window has no barrier.
 template <class RowFn, class BarrierFn>
 void traverse_tile(const tiling::DiamondTiling& dt, tiling::TileCoord tc_coord, int bz,
                    int nz, const TgShape& shape, const TgSlot& slot, RowFn&& row,
@@ -57,23 +107,10 @@ void traverse_tile(const tiling::DiamondTiling& dt, tiling::TileCoord tc_coord, 
   const auto slices = dt.slices(tc_coord);
   if (slices.empty()) return;
   const int s_base = slices.front().s;
-  const int s_top = slices.back().s;
-  const int fronts = tiling::num_fronts(nz, bz, s_base, s_top);
-
+  const int fronts = tiling::num_fronts(nz, bz, s_base, slices.back().s);
   for (int f = 0; f < fronts; ++f) {
-    const int front = f * bz;
     for (const tiling::RowSlice& sl : slices) {
-      const tiling::ZWindow win = tiling::z_window(front, bz, sl.s, s_base, nz);
-      if (win.empty()) continue;  // uniform across slots: safe to skip barrier
-      const auto& comps = sl.h_phase ? kernels::kHComps : kernels::kEComps;
-      for (int ci = slot.rc; ci < 6; ci += shape.tc) {
-        for (int z = win.lo + slot.rz; z < win.hi; z += shape.tz) {
-          for (int y = sl.y_lo; y < sl.y_hi; ++y) {
-            row(comps[static_cast<std::size_t>(ci)], sl.s, y, z);
-          }
-        }
-      }
-      barrier();
+      if (traverse_slice(sl, f * bz, bz, s_base, nz, shape, slot, row)) barrier();
     }
   }
 }

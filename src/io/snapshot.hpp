@@ -79,7 +79,8 @@ SnapshotInfo snapshot_from_string(const std::string& blob, grid::FieldSet& fs);
 
 /// Run `writer(os)` against `path + ".tmp~"` and atomically rename onto
 /// `path` on success; on any failure the temp file is removed and `path` is
-/// left untouched.  Shared by the snapshot and legacy-checkpoint file paths.
+/// left untouched.  Shared by write_snapshot_file and the SnapshotWriter's
+/// background writes.
 void write_file_atomic(const std::string& path,
                        const std::function<void(std::ostream&)>& writer);
 

@@ -1,5 +1,8 @@
 #include "serve/server.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <limits>
 #include <sstream>
@@ -17,6 +20,13 @@ namespace {
 
 using util::json_quote;
 using util::JsonValue;
+
+/// Identity of the file at `path`; (0, 0) when there is none.
+std::pair<std::uint64_t, std::uint64_t> file_id(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return {0, 0};
+  return {st.st_dev, st.st_ino};
+}
 
 const char* admit_reason(FairShareQueue::Admit a) {
   switch (a) {
@@ -37,7 +47,8 @@ Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)),
       queue_(cfg_.admission),
       scheduler_(cfg_.scheduler),
-      listener_(util::listen_unix(cfg_.socket_path)) {
+      listener_(util::listen_unix(cfg_.socket_path)),
+      socket_file_id_(file_id(cfg_.socket_path)) {
   if (!cfg_.initial_tables_json.empty()) {
     store_.reload(JsonValue::parse(cfg_.initial_tables_json));
   }
@@ -88,6 +99,11 @@ void Server::stop() {
     stopped_ = true;
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  // Nothing accepts any more.  The listener fd itself stays open until the
+  // destructor: a session thread's request_stop() may still be shutting it
+  // down.  A later server may have replaced the file with its own socket;
+  // leave that one alone.
+  if (file_id(cfg_.socket_path) == socket_file_id_) ::unlink(cfg_.socket_path.c_str());
   if (dispatcher_thread_.joinable()) dispatcher_thread_.join();
   // Jobs that never reached the scheduler become cancelled results (their
   // sessions are usually gone by now; delivery is best-effort).

@@ -18,8 +18,9 @@
 //
 // Shutdown: request_stop() flips the stop flag, closes the listener and
 // the queue and shuts every session socket down; stop() then joins the
-// threads, streams a cancelled result for every still-pending job and
-// drains the scheduler.  Both are idempotent; the destructor calls them.
+// threads, removes the socket file, streams a cancelled result for every
+// still-pending job and drains the scheduler.  Both are idempotent; the
+// destructor calls them.
 #pragma once
 
 #include <atomic>
@@ -30,6 +31,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "batch/scheduler.hpp"
@@ -78,8 +80,9 @@ class Server {
   /// watcher or a client's shutdown op).
   void wait_for_stop();
 
-  /// Finish shutdown: join all threads, cancel pending work, drain the
-  /// scheduler.  Idempotent; implies request_stop().
+  /// Finish shutdown: join all threads, unlink socket_path (unless another
+  /// server has bound a new socket there since), cancel pending work, drain
+  /// the scheduler.  Idempotent; implies request_stop().
   void stop();
 
   const std::string& socket_path() const { return cfg_.socket_path; }
@@ -166,6 +169,8 @@ class Server {
   FairShareQueue queue_;
   batch::Scheduler scheduler_;
   util::UniqueFd listener_;
+  /// (st_dev, st_ino) of the socket file this server bound.
+  std::pair<std::uint64_t, std::uint64_t> socket_file_id_;
 
   mutable std::mutex sessions_mu_;
   std::map<int, std::shared_ptr<Session>> sessions_;

@@ -4,8 +4,11 @@
 #include "cachesim/cache.hpp"
 #include "cachesim/hierarchy.hpp"
 #include "cachesim/replay.hpp"
+#include "exec/traversal.hpp"
 #include "grid/layout.hpp"
+#include "kernels/components.hpp"
 #include "models/code_balance.hpp"
+#include "tiling/diamond.hpp"
 
 namespace {
 
@@ -144,7 +147,7 @@ TEST(Replay, NaiveWithInfiniteCacheIsCompulsoryTraffic) {
   // fill per touched line plus one write-back per written line.
   grid::Layout L({16, 8, 8});
   Hierarchy h = Hierarchy::llc_only(1ull << 30);
-  const auto r = cachesim::replay_naive(L, 3, h);
+  const auto r = cachesim::replay_spatial(L, 3, L.ny(), h);
   EXPECT_EQ(r.lups, 16 * 8 * 8 * 3);
   // Upper bound: all 40 arrays fully read once + 12 written once, padded
   // rows included.  Lower bound: the interior bytes.
@@ -160,7 +163,7 @@ TEST(Replay, NaiveStreamingMatchesPaperModel) {
   // code balance must approach the paper's Eq. 8 value of 1344 B/LUP.
   grid::Layout L({32, 32, 8});
   Hierarchy h = Hierarchy::llc_only(1 << 16);  // 64 KiB: tiny
-  const auto r = cachesim::replay_naive(L, 2, h);
+  const auto r = cachesim::replay_spatial(L, 2, L.ny(), h);
   EXPECT_NEAR(r.bytes_per_lup(), models::naive_bytes_per_lup(), 0.15 * 1344);
 }
 
@@ -171,7 +174,7 @@ TEST(Replay, SpatialBlockingSavesTheShiftedLayerTraffic) {
   grid::Layout L({32, 32, 8});
   const std::uint64_t llc = 1 << 16;  // 64 KiB << 6 arrays * one 32x32 layer
   Hierarchy h1 = Hierarchy::llc_only(llc);
-  const auto naive = cachesim::replay_naive(L, 2, h1);
+  const auto naive = cachesim::replay_spatial(L, 2, L.ny(), h1);
   Hierarchy h2 = Hierarchy::llc_only(llc);
   const auto spatial = cachesim::replay_spatial(L, 2, /*block_y=*/4, h2);
   EXPECT_LT(spatial.bytes_per_lup(), naive.bytes_per_lup());
@@ -196,6 +199,38 @@ TEST(Replay, MwdCutsTrafficWellBelowSpatial) {
   // which can only reduce traffic) and sanity-bounded from below.
   EXPECT_LT(r.bytes_per_lup(), 1.3 * models::diamond_bytes_per_lup(dw));
   EXPECT_GT(r.bytes_per_lup(), 0.1 * models::diamond_bytes_per_lup(dw));
+}
+
+TEST(Replay, OneGroupMwdReplayIsTheEnginesTileTraversal) {
+  // With one thread group the replayed stream must be the engine's: the
+  // tiling's tiles in order, each walked by exec::traverse_tile.  The cache
+  // holds a fraction of a tile, so any change of order shows as traffic.
+  grid::Layout L({16, 24, 12});
+  const int steps = 4;
+  exec::MwdParams params;
+  params.dw = 4;
+  params.bz = 2;
+  const std::uint64_t llc = 1 << 17;
+  Hierarchy replayed_h = Hierarchy::llc_only(llc);
+  const auto replayed = cachesim::replay_mwd(L, steps, params, replayed_h);
+
+  Hierarchy walked_h = Hierarchy::llc_only(llc);
+  const tiling::DiamondTiling dt(params.dw, L.ny(), steps);
+  std::int64_t row_cells = 0;
+  for (const tiling::TileCoord& tile : dt.tiles()) {
+    exec::traverse_tile(
+        dt, tile, params.bz, L.nz(), exec::TgShape{}, exec::TgSlot{},
+        [&](kernels::Comp comp, int /*s*/, int y, int z) {
+          cachesim::touch_comp_row(walked_h, L, comp, 0, L.nx(), y, z);
+          row_cells += L.nx();
+        },
+        [] {});
+  }
+  walked_h.flush();
+  EXPECT_EQ(replayed.lups, static_cast<std::int64_t>(L.interior().cells()) * steps);
+  EXPECT_EQ(replayed.lups, row_cells / kernels::kNumComps);
+  EXPECT_EQ(replayed.read_bytes, walked_h.dram_read_bytes());
+  EXPECT_EQ(replayed.write_bytes, walked_h.dram_write_bytes());
 }
 
 TEST(Replay, MwdTrafficDegradesWhenTilesOutgrowTheCache) {

@@ -1,9 +1,11 @@
 // Unit tests for thread teams, thread-group slots and tile traversal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "em/coefficients.hpp"
@@ -15,6 +17,7 @@
 #include "kernels/reference.hpp"
 #include "kernels/update.hpp"
 #include "tiling/diamond.hpp"
+#include "tiling/wavefront.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -116,27 +119,86 @@ TEST(Traversal, CoversEveryRowOfTheTileExactlyOnce) {
   }
 }
 
-TEST(Traversal, HalfStepsAscendWithinAFront) {
-  tiling::DiamondTiling dt(2, 8, 3);
-  tiling::TileCoord tile = dt.tiles()[dt.tiles().size() / 2];
-  int last_s = -1;
-  bool s_monotone_within_front = true;
-  std::vector<int> order_s;
-  exec::traverse_tile(
-      dt, tile, /*bz=*/4, /*nz=*/8, TgShape{}, TgSlot{},
-      [&](kernels::Comp, int s, int, int) { order_s.push_back(s); },
-      [&] { last_s = -1; });
-  (void)s_monotone_within_front;
-  // Between two consecutive rows without an intervening barrier, s must not
-  // decrease (the barrier callback resets the tracker).
-  int prev = -1;
-  for (std::size_t i = 0; i < order_s.size(); ++i) {
-    if (prev >= 0) {
-      EXPECT_GE(order_s[i], prev - 100);  // sanity: recorded
+TEST(Traversal, SweepVisitsEveryRowOnceAndByAtLeastNyIsTheReferenceOrder) {
+  // A z sub-range, as one thread of the untiled engine walks it.
+  const int ny = 7, z0 = 2, z1 = 6;
+  using Row = std::tuple<int, int, int>;  // comp, y, z
+  for (bool h_phase : {true, false}) {
+    // kernels::reference_half_step's order: the phase's components in
+    // update order, each swept plane by plane (reference_component_sweep).
+    std::vector<Row> reference;
+    for (kernels::Comp c : h_phase ? kernels::kHComps : kernels::kEComps) {
+      for (int z = z0; z < z1; ++z) {
+        for (int y = 0; y < ny; ++y) reference.emplace_back(kernels::idx(c), y, z);
+      }
     }
-    prev = order_s[i];
+    std::vector<Row> reference_sorted = reference;
+    std::sort(reference_sorted.begin(), reference_sorted.end());
+
+    for (int by : {1, 3, ny, ny + 5}) {
+      std::vector<Row> order;
+      exec::traverse_sweep(h_phase, ny, z0, z1, by, [&](kernels::Comp c, int y, int z) {
+        order.emplace_back(kernels::idx(c), y, z);
+      });
+      std::vector<Row> sorted = order;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, reference_sorted) << "by=" << by << ": not every row exactly once";
+      if (by >= ny) {
+        EXPECT_EQ(order, reference) << "by=" << by;
+        continue;
+      }
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        // Components still run one after another in update order ...
+        EXPECT_EQ(std::get<0>(order[i]), std::get<0>(reference[i])) << "by=" << by;
+        if (i == 0 || std::get<0>(order[i - 1]) != std::get<0>(order[i])) continue;
+        const auto& [comp, y, z] = order[i];
+        const int prev_y = std::get<1>(order[i - 1]), prev_z = std::get<2>(order[i - 1]);
+        if (kernels::kComps[static_cast<std::size_t>(comp)].axis == kernels::Axis::Z) {
+          // ... a z-shift component walks y-blocks of `by` rows outermost ...
+          EXPECT_GE(y / by, prev_y / by) << "by=" << by;
+        } else {
+          // ... and every other component plane by plane.
+          EXPECT_GE(z, prev_z) << "by=" << by;
+        }
+      }
+    }
   }
-  EXPECT_FALSE(order_s.empty());
+}
+
+TEST(Traversal, HalfStepsAscendWithinAFront) {
+  // Each barrier closes one traverse_slice quantum: every row between two
+  // barriers belongs to one half-step, and the quanta run front by front,
+  // half-steps ascending within a front, skipping empty windows.
+  tiling::DiamondTiling dt(3, 12, 4);
+  const tiling::TileCoord tile = *std::max_element(
+      dt.tiles().begin(), dt.tiles().end(), [&](const auto& a, const auto& b) {
+        return dt.slices(a).size() < dt.slices(b).size();
+      });
+  const int bz = 2, nz = 8;
+  std::vector<std::vector<int>> quanta(1);  // the s of every row, per quantum
+  exec::traverse_tile(
+      dt, tile, bz, nz, TgShape{}, TgSlot{},
+      [&](kernels::Comp, int s, int, int) { quanta.back().push_back(s); },
+      [&] { quanta.emplace_back(); });
+  ASSERT_TRUE(quanta.back().empty()) << "rows after the last barrier";
+  quanta.pop_back();
+
+  const auto slices = dt.slices(tile);
+  ASSERT_GT(slices.size(), 1u);
+  ASSERT_TRUE(std::is_sorted(slices.begin(), slices.end(),
+                             [](const auto& a, const auto& b) { return a.s < b.s; }));
+  const int s_base = slices.front().s;
+  std::vector<int> expected;
+  for (int f = 0; f < tiling::num_fronts(nz, bz, s_base, slices.back().s); ++f) {
+    for (const auto& sl : slices) {
+      if (!tiling::z_window(f * bz, bz, sl.s, s_base, nz).empty()) expected.push_back(sl.s);
+    }
+  }
+  ASSERT_EQ(quanta.size(), expected.size());
+  for (std::size_t q = 0; q < quanta.size(); ++q) {
+    EXPECT_FALSE(quanta[q].empty()) << "quantum " << q;
+    for (int s : quanta[q]) EXPECT_EQ(s, expected[q]) << "quantum " << q;
+  }
 }
 
 TEST(MwdParams, DescribeAndThreads) {

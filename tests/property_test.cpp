@@ -119,7 +119,7 @@ TEST_P(SpatialBlockSweep, NeverWorseThanNaiveOnSameCache) {
   grid::Layout L({32, 32, 6});
   const std::uint64_t llc = 1 << 16;
   cachesim::Hierarchy hn = cachesim::Hierarchy::llc_only(llc);
-  const auto naive = cachesim::replay_naive(L, 2, hn);
+  const auto naive = cachesim::replay_spatial(L, 2, L.ny(), hn);
   cachesim::Hierarchy hs = cachesim::Hierarchy::llc_only(llc);
   const auto spatial = cachesim::replay_spatial(L, 2, by, hs);
   // Allow a tiny margin: very large blocks degenerate to the naive order.

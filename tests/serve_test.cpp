@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -677,6 +678,32 @@ TEST(ServeEndToEnd, ClientShutdownOpStopsTheServer) {
   server.wait_for_stop();  // returns only because the op fired request_stop
   server.stop();
   EXPECT_THROW(Client other(path), std::system_error);
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(ServeEndToEnd, StopRemovesTheSocketFile) {
+  const std::string path = test_socket_path("unlink");
+  serve::Server server(small_server(path));
+  EXPECT_TRUE(std::filesystem::is_socket(path));
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(path));
+  server.stop();  // idempotent: nothing left to remove
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(ServeEndToEnd, StopLeavesAReplacementSocketAlone) {
+  // A second server on the same path replaces the first one's socket file;
+  // stopping the first must not take the second one's file with it.
+  const std::string path = test_socket_path("replaced");
+  serve::Server first(small_server(path));
+  serve::Server second(small_server(path));
+  first.stop();
+  ASSERT_TRUE(std::filesystem::is_socket(path));
+  Client client(path);
+  client.send("{\"op\":\"ping\"}");
+  EXPECT_EQ(client.recv().get_string("type", ""), "pong");
+  second.stop();
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(ServeEndToEnd, DisconnectedClientsPendingJobsAreDropped) {
