@@ -49,7 +49,7 @@ struct RowResult {
 /// allocates its shard state), then the best of `repeats` timed runs (the
 /// tuner's stage-2 methodology).  With ckpt_every > 0 the run checkpoints
 /// to `ckpt_path` through the async SnapshotWriter and the `seconds` column
-/// becomes wall time around run_hooked — capture stalls included, so
+/// becomes wall time around exec::run_segmented — capture stalls included, so
 /// diffing a checkpointed run against a plain one measures exactly the
 /// overhead the <5% acceptance gate is about (background write time is
 /// drained between repeats, outside the timed region).
@@ -65,34 +65,29 @@ RowResult run_point(const exec::EngineSpec& spec, const grid::Layout& layout,
   engine->run(fs, std::min(steps, 2));  // warmup: fault pages in, warm caches
 
   std::unique_ptr<io::SnapshotWriter> writer;
-  if (ckpt_every > 0) {
-    writer = std::make_unique<io::SnapshotWriter>(layout);
-    engine->set_step_hook(ckpt_every, [&](int done) {
-      io::SnapshotInfo info;
-      info.extents = layout.interior();
-      info.steps_done = done;
-      info.meta = exec::to_string(spec);
-      writer->capture(fs, info, ckpt_path);
-      return true;
-    });
-  }
+  if (ckpt_every > 0) writer = std::make_unique<io::SnapshotWriter>(layout);
+  const auto capture = [&](int done) {
+    io::SnapshotInfo info;
+    info.extents = layout.interior();
+    info.steps_done = done;
+    info.meta = exec::to_string(spec);
+    writer->capture(fs, info, ckpt_path);
+    return true;
+  };
 
   RowResult best;
   best.seconds = 1e300;
   best.halo_exposed = 1e300;
   for (int r = 0; r < std::max(1, repeats); ++r) {
     fs.clear_fields();
-    double wall;
+    exec::EngineStats st;
+    util::Timer timer;
+    exec::run_segmented(*engine, fs, steps, ckpt_every, capture, st);
+    double wall = st.seconds;
     if (writer) {
-      util::Timer timer;
-      engine->run_hooked(fs, steps);
       wall = timer.seconds();
       writer->wait_idle();  // drain before the next repeat competes for cores
-    } else {
-      engine->run(fs, steps);
-      wall = engine->stats().seconds;
     }
-    const exec::EngineStats& st = engine->stats();
     if (wall < best.seconds) {
       best.stats = st;
       best.seconds = wall;

@@ -47,6 +47,20 @@ const char* classify_error(const std::exception& e) {
   return "transient";
 }
 
+std::string job_label(const Job& job, std::size_t index) {
+  return job.name.empty() ? "job" + std::to_string(index) : job.name;
+}
+
+JobResult cancelled_result(const Job& job, std::size_t index) {
+  JobResult r;
+  r.index = index;
+  r.name = job_label(job, index);
+  r.cancelled = true;
+  r.error = "cancelled";
+  r.error_class = "cancelled";
+  return r;
+}
+
 std::vector<std::string> JobResult::row_header() {
   return {"index",  "name",    "status",   "steps",   "wall_s",
           "mlups",  "total_E", "slot",     "threads", "engine",

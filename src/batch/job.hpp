@@ -27,7 +27,8 @@ struct JobResult;
 
 /// Thrown (and classified as error_class "deadline") when a job exceeds its
 /// wall-clock budget.  Checked at the same safe step boundaries that poll
-/// preemption, so enforcement latency is bounded by preempt_check_every.
+/// preemption, and at a convergence job's checks, so enforcement latency is
+/// bounded by preempt_check_every steps, fixed-step or convergence job.
 class DeadlineExceeded : public std::runtime_error {
  public:
   DeadlineExceeded(const std::string& job, double budget_seconds)
@@ -84,7 +85,8 @@ struct Job {
   // ------------------------------------------- checkpoint / preemption
   /// Write a snapshot (format v2, src/io/README.md) of the running fields
   /// to `checkpoint_path` every `checkpoint_every` steps, through the
-  /// scheduler's per-job async SnapshotWriter.  0 disables.  The file is
+  /// scheduler's per-job async SnapshotWriter.  0 disables; so does a
+  /// convergence job, which cannot resume.  The file is
   /// atomically replaced each time, so it always holds the latest complete
   /// snapshot.  Snapshot I/O errors fail the job loudly rather than
   /// silently losing restart capability.
@@ -151,6 +153,13 @@ struct Job {
   static Job from_json(const std::string& text);
   static Job from_json(const util::JsonValue& doc);
 };
+
+/// `job.name`, or "job<index>" when it is empty: the label of its result.
+std::string job_label(const Job& job, std::size_t index);
+
+/// The result of a job dropped before it ran: `cancelled`, with error and
+/// error_class "cancelled".  Every path that drops a queued job builds it.
+JobResult cancelled_result(const Job& job, std::size_t index);
 
 /// The canonical per-job record.  All observables are bit-exact outputs of
 /// the run (batch execution never changes results, only placement).

@@ -76,13 +76,7 @@ std::size_t Scheduler::submit(Job job) {
     }
   }
   if (drop) {
-    JobResult r;
-    r.index = seq;
-    r.name = job.name.empty() ? "job" + std::to_string(seq) : job.name;
-    r.cancelled = true;
-    r.error = "cancelled";
-    r.error_class = "cancelled";
-    finish_result(std::move(r), job.sink);
+    finish_result(cancelled_result(job, seq), job.sink);
   } else {
     cv_work_.notify_one();
   }
@@ -107,15 +101,7 @@ void Scheduler::cancel() {
   // mutex, and the queue is now empty); jobs claimed earlier — running, or
   // popped an instant before this drain — complete normally.
   cv_work_.notify_all();
-  for (Entry& e : drained) {
-    JobResult r;
-    r.index = e.seq;
-    r.name = e.job.name.empty() ? "job" + std::to_string(e.seq) : e.job.name;
-    r.cancelled = true;
-    r.error = "cancelled";
-    r.error_class = "cancelled";
-    finish_result(std::move(r), e.job.sink);
-  }
+  for (Entry& e : drained) finish_result(cancelled_result(e.job, e.seq), e.job.sink);
 }
 
 std::vector<JobResult> Scheduler::wait_all() {
@@ -218,9 +204,11 @@ void Scheduler::executor_loop(int executor_id) {
     // checkpoint_running() can reach this job while it runs.
     auto control = std::make_shared<RunControl>();
     control->priority = entry.priority;
-    control->preemptible = entry.job.preemptible && entry.job.converge_tol == 0.0;
-    control->can_checkpoint =
-        entry.job.checkpoint_every > 0 && !entry.job.checkpoint_path.empty();
+    // Only fixed-step jobs can resume, so only they park or checkpoint.
+    const bool fixed_steps = entry.job.converge_tol == 0.0;
+    control->preemptible = fixed_steps && entry.job.preemptible;
+    control->can_checkpoint = fixed_steps && entry.job.checkpoint_every > 0 &&
+                              !entry.job.checkpoint_path.empty();
     {
       std::lock_guard<std::mutex> lock(mu_);
       running_jobs_[entry.seq] = control;
@@ -262,14 +250,8 @@ void Scheduler::executor_loop(int executor_id) {
       cv_work_.notify_one();
       continue;
     }
-    if (cancelled_continuation) {
-      JobResult r;
-      r.index = entry.seq;
-      r.name = out.result.name;
-      r.cancelled = true;
-      r.error = "cancelled";
-    r.error_class = "cancelled";
-      finish_result(std::move(r), sink);  // running_ already decremented
+    if (cancelled_continuation) {  // running_ already decremented
+      finish_result(cancelled_result(*out.continuation, entry.seq), sink);
       continue;
     }
     finish_result(std::move(out.result), sink);
@@ -319,21 +301,13 @@ Scheduler::RunOutcome Scheduler::run_job(Job&& job, std::size_t seq, int slot_id
       return out;
     }
     OBS_INSTANT("sched.retry", attempt);
-    // Checkpoint-aware recovery: resume the retry from the newest valid
-    // snapshot this job has written (quarantining corrupt rotations) so it
-    // repeats as few steps as possible; with no valid snapshot it starts
-    // from scratch.  A parked in-RAM blob (preemption) stays authoritative.
+    // Checkpoint-aware recovery: point the retry at the head of this job's
+    // rotation chain.  The attempt's resume walk picks the newest valid
+    // snapshot (quarantining corrupt rotations), so the retry repeats as few
+    // steps as possible, or starts from scratch when nothing valid is left.
+    // A parked in-RAM blob (preemption) stays authoritative.
     job.prior_snapshots = out.result.snapshots;
-    if (!job.resume_blob && control.can_checkpoint) {
-      std::vector<std::string> bad;
-      job.resume_from = io::find_latest_valid_snapshot(job.checkpoint_path,
-                                                       job.checkpoint_keep, &bad);
-      quarantined += static_cast<int>(bad.size());
-      if (!bad.empty()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.quarantined += bad.size();
-      }
-    }
+    if (!job.resume_blob && control.can_checkpoint) job.resume_from = job.checkpoint_path;
     // Exponential backoff with deterministic jitter, clamped to whatever
     // deadline budget remains (the next attempt's entry check then reports
     // "deadline" rather than sleeping past it).
@@ -356,7 +330,7 @@ Scheduler::RunOutcome Scheduler::run_attempt(Job& job, std::size_t seq, int slot
   RunOutcome out;
   JobResult& r = out.result;
   r.index = seq;
-  r.name = job.name.empty() ? "job" + std::to_string(seq) : job.name;
+  r.name = job_label(job, seq);
   r.slot = slot_id;
   r.preemptions = job.prior_preemptions;
   r.snapshots = job.prior_snapshots;
@@ -365,7 +339,8 @@ Scheduler::RunOutcome Scheduler::run_attempt(Job& job, std::size_t seq, int slot
 
   // Deadline: the budget covers the whole run_job call (all attempts).
   // Checked here at attempt entry and below at every safe step boundary, so
-  // enforcement latency is bounded by preempt_check_every steps.
+  // enforcement latency is bounded by preempt_check_every steps (and by
+  // check_every for a convergence job).
   auto check_deadline = [&] {
     if (job.deadline_seconds > 0.0 && clock.seconds() >= job.deadline_seconds) {
       throw DeadlineExceeded(r.name, job.deadline_seconds);
@@ -438,69 +413,47 @@ Scheduler::RunOutcome Scheduler::run_attempt(Job& job, std::size_t seq, int slot
       }
     }
 
-    // Periodic checkpointing + preemption polling at safe step boundaries.
-    const bool want_ckpt = control.can_checkpoint;
+    // One boundary hook per job at one poll cadence: the deadline for every
+    // job, checkpoint cadence and preemption for fixed-step jobs (only those
+    // have a writer or can see the preempt flag).
+    const int poll = cfg_.preempt_check_every > 0 ? cfg_.preempt_check_every : 16;
+    int hook_every = control.can_checkpoint ? job.checkpoint_every : 0;
+    if (control.preemptible || job.deadline_seconds > 0.0) {
+      hook_every = hook_every > 0 ? std::min(hook_every, poll) : poll;
+    }
     std::unique_ptr<io::SnapshotWriter> writer;
+    int next_ckpt = 0;
+    if (control.can_checkpoint) {
+      writer = std::make_unique<io::SnapshotWriter>(sim.fields().layout());
+      next_ckpt = (sim.steps_done() / job.checkpoint_every + 1) * job.checkpoint_every;
+    }
     int local_snapshots = 0;
     bool preempt_hit = false;
-    int hook_every = 0;
-    if (want_ckpt) hook_every = job.checkpoint_every;
-    if (control.preemptible) {
-      const int poll = cfg_.preempt_check_every > 0 ? cfg_.preempt_check_every : 16;
-      hook_every = hook_every > 0 ? std::min(hook_every, poll) : poll;
-    }
-    const bool want_deadline = job.deadline_seconds > 0.0;
-    if (want_deadline) {
-      const int poll = cfg_.preempt_check_every > 0 ? cfg_.preempt_check_every : 16;
-      hook_every = hook_every > 0 ? std::min(hook_every, poll) : poll;
-    }
-    // Declared out here: the hook below captures it by reference and runs
-    // inside sim.run(), after the block that installs it has closed.
-    int next_ckpt = 0;
-    if (hook_every > 0 && job.converge_tol == 0.0) {
-      if (want_ckpt) writer = std::make_unique<io::SnapshotWriter>(sim.fields().layout());
-      next_ckpt = want_ckpt ? ((sim.steps_done() / job.checkpoint_every) + 1) *
-                                  job.checkpoint_every
-                            : 0;
-      sim.set_step_hook(hook_every, [&](int steps_done) {
-        check_deadline();
-        bool snap = false;
-        if (want_ckpt) {
-          if (steps_done >= next_ckpt) {
-            snap = true;
-            next_ckpt = ((steps_done / job.checkpoint_every) + 1) * job.checkpoint_every;
-          }
-          if (control.checkpoint.exchange(false, std::memory_order_relaxed)) snap = true;
+    sim.set_step_hook(hook_every, [&](int steps_done) {
+      check_deadline();
+      if (writer) {
+        bool snap = control.checkpoint.exchange(false, std::memory_order_relaxed);
+        if (steps_done >= next_ckpt) {
+          snap = true;
+          next_ckpt = (steps_done / job.checkpoint_every + 1) * job.checkpoint_every;
         }
         if (snap) {
           writer->capture(sim.fields(), sim.snapshot_info(), job.checkpoint_path,
                           job.checkpoint_keep);
           ++local_snapshots;
         }
-        if (control.preempt.load(std::memory_order_relaxed)) {
-          preempt_hit = true;
-          return false;
-        }
-        return true;
-      });
-    } else if (hook_every > 0 && want_deadline) {
-      // Convergence jobs never checkpoint or preempt, but a deadline still
-      // applies — poll it at the same boundary cadence.
-      sim.set_step_hook(hook_every, [&](int) {
-        check_deadline();
-        return true;
-      });
-    }
+      }
+      preempt_hit = control.preempt.load(std::memory_order_relaxed);
+      return !preempt_hit;
+    });
 
     if (job.converge_tol > 0.0) {
       r.converged_change = sim.run_until_converged(
           job.converge_tol, job.max_steps > 0 ? job.max_steps : job.steps,
           job.check_every);
     } else {
-      const int remaining = std::max(0, job.steps - sim.steps_done());
-      sim.run(remaining);
+      sim.run(std::max(0, job.steps - sim.steps_done()));
     }
-    sim.set_step_hook(0, nullptr);
     r.snapshots += local_snapshots;
     if (writer) {
       // Settle the async writes so the reported stats are final and any

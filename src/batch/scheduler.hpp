@@ -54,9 +54,11 @@ struct SchedulerConfig {
   /// engines / FieldSets, LRU-evicting the rest.  <= 0 = unbounded.
   int max_idle_engines = 0;
   int max_idle_fields = 0;
-  /// How often (in steps) a running preemptible job pauses at a safe step
-  /// boundary to poll its preempt flag — the preemption latency bound.
-  /// Checkpointing jobs poll at min(preempt_check_every, checkpoint_every).
+  /// How often (in steps) a running job with a deadline or the preemptible
+  /// flag pauses at a safe step boundary to check its deadline and poll its
+  /// preempt flag — the latency bound of both.  Checkpointing jobs poll at
+  /// min(preempt_check_every, checkpoint_every); a convergence job also at
+  /// each of its checks.
   int preempt_check_every = 16;
   /// Host topology override for tests; unset = util::detect_host().
   std::optional<util::HostInfo> host;
@@ -138,9 +140,9 @@ class Scheduler {
   /// a rejected-for-capacity high-priority submission frees slots this way.
   std::size_t preempt_lower_than(int priority, std::size_t max_count);
 
-  /// Ask every running job that checkpoints (checkpoint_every > 0 with a
-  /// path) to write one snapshot at its next safe boundary, regardless of
-  /// cadence.  Returns the number of jobs signalled.
+  /// Ask every running job that checkpoints (a fixed-step job with
+  /// checkpoint_every > 0 and a path) to write one snapshot at its next safe
+  /// boundary, regardless of cadence.  Returns the number of jobs signalled.
   std::size_t checkpoint_running();
 
   /// Close the queue, run everything to completion, join the executors and
@@ -167,7 +169,7 @@ class Scheduler {
     std::atomic<bool> checkpoint{false};
     int priority = 0;
     bool preemptible = false;     // fixed-step and Job::preemptible
-    bool can_checkpoint = false;  // checkpoint_every > 0 with a path
+    bool can_checkpoint = false;  // fixed-step, checkpoint_every > 0 with a path
   };
 
   /// What one executor attempt produced: either a finished result, or a

@@ -107,23 +107,17 @@ EngineStats EngineStats::from_json(const util::JsonValue& v) {
   return s;
 }
 
-int Engine::run_hooked(grid::FieldSet& fs, int steps) {
-  if (!step_hook_ || step_hook_every_ <= 0 || steps <= step_hook_every_) {
-    run(fs, steps);
-    return steps;
-  }
-  EngineStats total;
+int run_segmented(Engine& engine, grid::FieldSet& fs, int steps, int every,
+                  const std::function<bool(int done)>& boundary, EngineStats& stats) {
+  const int segment = every > 0 ? every : steps;
   int done = 0;
   while (done < steps) {
-    const int chunk = std::min(step_hook_every_, steps - done);
-    run(fs, chunk);
-    total.merge(stats_);
-    done += chunk;
-    // Interior boundaries only: a hook at done == steps would duplicate the
-    // caller's own post-run bookkeeping.
-    if (done < steps && !step_hook_(done)) break;
+    const int n = std::min(segment, steps - done);
+    engine.run(fs, n);
+    stats.merge(engine.stats());
+    done += n;
+    if (done < steps && !boundary(done)) break;
   }
-  stats_ = total;
   return done;
 }
 

@@ -107,34 +107,20 @@ class Engine {
   /// Advance the fields by `steps` full time steps, collecting stats.
   virtual void run(grid::FieldSet& fs, int steps) = 0;
 
-  /// Safe-boundary step hook, fired between full time steps; `steps_done`
-  /// is the number of steps this run has completed so far.  Return false to
-  /// stop the run early (the preemption path).  Pass every <= 0 or a null
-  /// fn to uninstall.  Honored by run_hooked() only — plain run() ignores
-  /// it, so existing callers are unaffected.
-  using StepHookFn = std::function<bool(int steps_done)>;
-  void set_step_hook(int every, StepHookFn fn) {
-    step_hook_every_ = fn ? every : 0;
-    step_hook_ = step_hook_every_ > 0 ? std::move(fn) : nullptr;
-  }
-
-  /// Advance up to `steps` steps, pausing every `step_hook_every_` steps at
-  /// a safe boundary to fire the installed hook.  Implemented as segmented
-  /// run() calls — valid for every engine because run(a); run(b) is
-  /// bit-exact with run(a+b) (engines carry no hidden cross-run state that
-  /// affects results; the equivalence suite pins this).  Stats from the
-  /// segments are merged so stats() describes the whole hooked run.
-  /// Returns the number of steps actually advanced (< steps only when the
-  /// hook requested an early stop).  Without a hook this is exactly run().
-  int run_hooked(grid::FieldSet& fs, int steps);
-
   const EngineStats& stats() const { return stats_; }
 
  protected:
   EngineStats stats_;
-  StepHookFn step_hook_;
-  int step_hook_every_ = 0;
 };
+
+/// Advance `fs` by up to `steps` steps as run() calls of at most `every`
+/// steps (one call when every <= 0), calling `boundary(done)` between two
+/// calls, never after the last, with the steps done so far.  A false return
+/// stops the run there.  Valid for every engine because run(a); run(b) is
+/// bit-exact with run(a+b).  Each call's stats are merged into `stats`.
+/// Returns the steps advanced: `steps` unless `boundary` stopped the run.
+int run_segmented(Engine& engine, grid::FieldSet& fs, int steps, int every,
+                  const std::function<bool(int done)>& boundary, EngineStats& stats);
 
 /// Tile scheduling policy.  FifoQueue is the paper's dynamic scheduler
 /// (Sec. II-A); StaticWave is the ablation baseline — tiles of one DAG

@@ -41,8 +41,9 @@
 //   snapshot.write     io::write_snapshot serialization entry (throws)
 //   snapshot.read      io::read_snapshot after the header parse (throws)
 //   snapshot.writer    io::SnapshotWriter background thread, per file (throws)
-//   engine.step        thiim::Simulation::run, at safe step-hook boundaries
-//                      and once at run() entry (throws)
+//   engine.step        thiim::Simulation::run / run_until_converged: once at
+//                      entry, then at every step-hook boundary and every
+//                      convergence check that continues the run (throws)
 //   sched.acquire      batch::Scheduler executor, before engine/fields
 //                      lease acquisition (throws)
 //   socket.eintr.send  util/socket write loop: simulate EINTR, no throw

@@ -195,6 +195,54 @@ SnapshotInfo read_header(std::istream& is, std::uint32_t* hdr_crc_out) {
   return parse_header_json(hdr);
 }
 
+// Walk the chunk chain and footer that follow the header, checking every
+// frame, CRC and count.  Row (field index in kComps order, j, k) of the
+// payload is read to `row(f, j, k)` — the FieldSet's row when restoring, a
+// scratch row when validating — so there is exactly one reader.
+void read_chunks(std::istream& is, const Geometry& g, std::uint32_t hdr_crc,
+                 const std::function<double*(int, int, int)>& row) {
+  std::uint64_t chunks = 0;
+  for (int f = 0; f < kernels::kNumComps; ++f) {
+    int k = 0;
+    while (k < g.nz) {
+      const std::uint32_t cf = get_u32(is, "chunk field");
+      const std::uint32_t ck0 = get_u32(is, "chunk k0");
+      const std::uint32_t cplanes = get_u32(is, "chunk planes");
+      const std::uint64_t cbytes = get_u64(is, "chunk bytes");
+      if (cf != static_cast<std::uint32_t>(f)) fail("chunk field out of order");
+      if (ck0 != static_cast<std::uint32_t>(k)) fail("chunk k0 out of order");
+      if (cplanes == 0 || cplanes > static_cast<std::uint32_t>(g.nz - k)) {
+        fail("implausible chunk plane count");
+      }
+      if (cbytes != static_cast<std::uint64_t>(cplanes) * g.plane_bytes()) {
+        fail("chunk byte count mismatch");
+      }
+      std::uint32_t crc = 0;
+      for (int kk = k; kk < k + static_cast<int>(cplanes); ++kk) {
+        for (int j = 0; j < g.ny; ++j) {
+          double* dst = row(f, j, kk);
+          is.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(g.row_bytes()));
+          if (is.gcount() != static_cast<std::streamsize>(g.row_bytes())) {
+            fail("truncated chunk payload");
+          }
+          crc = crc32(dst, g.row_bytes(), crc);
+        }
+      }
+      if (get_u32(is, "chunk CRC") != crc) fail("chunk CRC mismatch");
+      k += static_cast<int>(cplanes);
+      ++chunks;
+    }
+  }
+
+  char fmagic[8];
+  is.read(fmagic, sizeof fmagic);
+  if (is.gcount() != sizeof fmagic || std::memcmp(fmagic, kFooterMagic, sizeof fmagic) != 0) {
+    fail("bad footer magic");
+  }
+  if (get_u64(is, "footer chunk count") != chunks) fail("footer chunk count mismatch");
+  if (get_u32(is, "footer header CRC") != hdr_crc) fail("footer header CRC mismatch");
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
@@ -252,49 +300,9 @@ SnapshotInfo read_snapshot(std::istream& is, grid::FieldSet& fs) {
   fault::maybe_fail("snapshot.read");
   const grid::Layout& L = fs.layout();
   if (!(info.extents == L.interior())) fail("extents mismatch");
-  const Geometry g{L.nx(), L.ny(), L.nz()};
-
-  std::uint64_t chunks = 0;
-  for (int f = 0; f < kernels::kNumComps; ++f) {
-    grid::Field& field = fs.field(kernels::kComps[f].self);
-    int k = 0;
-    while (k < g.nz) {
-      const std::uint32_t cf = get_u32(is, "chunk field");
-      const std::uint32_t ck0 = get_u32(is, "chunk k0");
-      const std::uint32_t cplanes = get_u32(is, "chunk planes");
-      const std::uint64_t cbytes = get_u64(is, "chunk bytes");
-      if (cf != static_cast<std::uint32_t>(f)) fail("chunk field out of order");
-      if (ck0 != static_cast<std::uint32_t>(k)) fail("chunk k0 out of order");
-      if (cplanes == 0 || cplanes > static_cast<std::uint32_t>(g.nz - k)) {
-        fail("implausible chunk plane count");
-      }
-      if (cbytes != static_cast<std::uint64_t>(cplanes) * g.plane_bytes()) {
-        fail("chunk byte count mismatch");
-      }
-      std::uint32_t crc = 0;
-      for (std::uint32_t kk = 0; kk < cplanes; ++kk) {
-        for (int j = 0; j < g.ny; ++j) {
-          double* dst = field.data() + 2 * L.at(0, j, k + static_cast<int>(kk));
-          is.read(reinterpret_cast<char*>(dst), static_cast<std::streamsize>(g.row_bytes()));
-          if (is.gcount() != static_cast<std::streamsize>(g.row_bytes())) {
-            fail("truncated chunk payload");
-          }
-          crc = crc32(dst, g.row_bytes(), crc);
-        }
-      }
-      if (get_u32(is, "chunk CRC") != crc) fail("chunk CRC mismatch");
-      k += static_cast<int>(cplanes);
-      ++chunks;
-    }
-  }
-
-  char fmagic[8];
-  is.read(fmagic, sizeof fmagic);
-  if (is.gcount() != sizeof fmagic || std::memcmp(fmagic, kFooterMagic, sizeof fmagic) != 0) {
-    fail("bad footer magic");
-  }
-  if (get_u64(is, "footer chunk count") != chunks) fail("footer chunk count mismatch");
-  if (get_u32(is, "footer header CRC") != hdr_crc) fail("footer header CRC mismatch");
+  read_chunks(is, Geometry{L.nx(), L.ny(), L.nz()}, hdr_crc, [&fs, &L](int f, int j, int k) {
+    return fs.field(kernels::kComps[f].self).data() + 2 * L.at(0, j, k);
+  });
   return info;
 }
 
@@ -351,53 +359,17 @@ void rotate_snapshots(const std::string& path, int keep) {
 }
 
 bool validate_snapshot_file(const std::string& path) {
-  // Same walk as read_snapshot, but geometry comes from the header and the
-  // payload lands in a scratch plane — validation needs no FieldSet, so the
-  // recovery path can vet a candidate before allocating anything.
+  // Geometry comes from the header and each row lands in one scratch row:
+  // validation needs no FieldSet, so the recovery path can vet a candidate
+  // before allocating anything.
   try {
     std::ifstream is(path, std::ios::binary);
     if (!is) return false;
     std::uint32_t hdr_crc = 0;
     const SnapshotInfo info = read_header(is, &hdr_crc);
     const Geometry g{info.extents.nx, info.extents.ny, info.extents.nz};
-    std::vector<char> plane(g.plane_bytes());
-    std::uint64_t chunks = 0;
-    for (int f = 0; f < kernels::kNumComps; ++f) {
-      int k = 0;
-      while (k < g.nz) {
-        const std::uint32_t cf = get_u32(is, "chunk field");
-        const std::uint32_t ck0 = get_u32(is, "chunk k0");
-        const std::uint32_t cplanes = get_u32(is, "chunk planes");
-        const std::uint64_t cbytes = get_u64(is, "chunk bytes");
-        if (cf != static_cast<std::uint32_t>(f)) fail("chunk field out of order");
-        if (ck0 != static_cast<std::uint32_t>(k)) fail("chunk k0 out of order");
-        if (cplanes == 0 || cplanes > static_cast<std::uint32_t>(g.nz - k)) {
-          fail("implausible chunk plane count");
-        }
-        if (cbytes != static_cast<std::uint64_t>(cplanes) * g.plane_bytes()) {
-          fail("chunk byte count mismatch");
-        }
-        std::uint32_t crc = 0;
-        for (std::uint32_t kk = 0; kk < cplanes; ++kk) {
-          is.read(plane.data(), static_cast<std::streamsize>(g.plane_bytes()));
-          if (is.gcount() != static_cast<std::streamsize>(g.plane_bytes())) {
-            fail("truncated chunk payload");
-          }
-          crc = crc32(plane.data(), g.plane_bytes(), crc);
-        }
-        if (get_u32(is, "chunk CRC") != crc) fail("chunk CRC mismatch");
-        k += static_cast<int>(cplanes);
-        ++chunks;
-      }
-    }
-    char fmagic[8];
-    is.read(fmagic, sizeof fmagic);
-    if (is.gcount() != sizeof fmagic ||
-        std::memcmp(fmagic, kFooterMagic, sizeof fmagic) != 0) {
-      fail("bad footer magic");
-    }
-    if (get_u64(is, "footer chunk count") != chunks) fail("footer chunk count mismatch");
-    if (get_u32(is, "footer header CRC") != hdr_crc) fail("footer header CRC mismatch");
+    std::vector<double> scratch(g.row_doubles());
+    read_chunks(is, g, hdr_crc, [&scratch](int, int, int) { return scratch.data(); });
     return true;
   } catch (const std::exception&) {
     return false;

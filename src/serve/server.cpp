@@ -465,12 +465,8 @@ void Server::stream_cancelled(const std::vector<PendingJob>& dropped) {
   for (const PendingJob& item : dropped) {
     std::shared_ptr<Session> session = find_session(item.client);
     if (!session) continue;
-    batch::JobResult r;
-    r.index = item.index;
-    r.name = item.job.name.empty() ? "job" + std::to_string(item.index) : item.job.name;
-    r.cancelled = true;
-    r.error = "cancelled";
-    stream_result(session, item.request_id, item.request, item.index, r);
+    stream_result(session, item.request_id, item.request, item.index,
+                  batch::cancelled_result(item.job, item.index));
   }
 }
 

@@ -70,56 +70,70 @@ void Simulation::add_point_dipole(em::SourceField which, int i, int j, int k,
   em::add_point_dipole(*fields_, materials_, pml_, params_, which, i, j, k, amplitude);
 }
 
-int Simulation::run(int steps) {
-  if (!finalized_) throw std::logic_error("Simulation: finalize() before run()");
+bool Simulation::at_boundary(int steps_done) {
+  steps_done_ = steps_done;
+  // A boundary is where a running call can stop cleanly, so it is also
+  // where an injected step failure surfaces (the caller rolls steps_done_
+  // back, exactly like a real engine fault).
   fault::maybe_fail("engine.step");
-  if (!step_hook_ || step_hook_every_ <= 0) {
-    engine_->run(*fields_, steps);
-    steps_done_ += steps;
-    return steps;
-  }
-  // Thread the hook through the engine's segmented runner, translating the
-  // engine's per-run step count into the absolute steps_done() the hook
-  // sees.  steps_done_ is updated before the hook fires so it may snapshot.
+  return !step_hook_ || step_hook_(steps_done_);
+}
+
+int Simulation::advance(int steps) {
   const int base = steps_done_;
-  engine_->set_step_hook(step_hook_every_, [this, base](int done) {
-    steps_done_ = base + done;
-    // The hook boundary is the one place a hooked run can stop cleanly, so
-    // it is also where an injected step failure surfaces (the catch below
-    // rolls steps_done_ back, exactly like a real engine fault).
-    fault::maybe_fail("engine.step");
-    return step_hook_(steps_done_);
-  });
-  int advanced = 0;
-  try {
-    advanced = engine_->run_hooked(*fields_, steps);
-  } catch (...) {
-    engine_->set_step_hook(0, nullptr);
-    steps_done_ = base;
-    throw;
-  }
-  engine_->set_step_hook(0, nullptr);
+  const int advanced = exec::run_segmented(
+      *engine_, *fields_, steps, step_hook_every_,
+      [this, base](int done) { return at_boundary(base + done); }, stats_);
   steps_done_ = base + advanced;
   return advanced;
 }
 
+int Simulation::run(int steps) {
+  if (!finalized_) throw std::logic_error("Simulation: finalize() before run()");
+  fault::maybe_fail("engine.step");
+  stats_ = {};
+  const int base = steps_done_;
+  try {
+    return advance(steps);
+  } catch (...) {
+    steps_done_ = base;
+    throw;
+  }
+}
+
 void Simulation::set_step_hook(int every, std::function<bool(int)> fn) {
-  step_hook_every_ = fn ? every : 0;
+  step_hook_every_ = fn && every > 0 ? every : 0;
   step_hook_ = step_hook_every_ > 0 ? std::move(fn) : nullptr;
 }
 
 double Simulation::run_until_converged(double tol, int max_steps, int check_every) {
   if (!finalized_) throw std::logic_error("Simulation: finalize() before run()");
+  if (check_every < 1) {
+    throw std::invalid_argument("Simulation: check_every must be >= 1");
+  }
+  fault::maybe_fail("engine.step");
+  stats_ = {};
+  const int base = steps_done_;
   grid::FieldSet snapshot(layout_);
   double change = 1.0;
   int done = 0;
-  while (done < max_steps) {
-    snapshot.copy_fields_from(*fields_);
-    const int chunk = std::min(check_every, max_steps - done);
-    const int advanced = run(chunk);
-    done += advanced;
-    change = em::relative_change(*fields_, snapshot);
-    if (change < tol || advanced < chunk) break;  // converged or hook-stopped
+  try {
+    while (done < max_steps) {
+      snapshot.copy_fields_from(*fields_);
+      const int chunk = std::min(check_every, max_steps - done);
+      const int advanced = advance(chunk);
+      done += advanced;
+      change = em::relative_change(*fields_, snapshot);
+      // Converged, hook-stopped or out of steps: the call ends here, and its
+      // end is no boundary.  A check that continues the run is one.
+      if (change < tol || advanced < chunk || done == max_steps ||
+          !at_boundary(steps_done_)) {
+        break;
+      }
+    }
+  } catch (...) {
+    steps_done_ = base;
+    throw;
   }
   return change;
 }

@@ -90,14 +90,17 @@ class Simulation {
 
   /// Advance up to `steps` THIIM iterations; returns the number actually
   /// advanced.  That is `steps` unless an installed step hook stopped the
-  /// run early (the scheduler's preemption path).
+  /// run early (the scheduler's preemption path).  On a throw steps_done()
+  /// is rolled back to its value before the call.
   int run(int steps);
 
-  /// Install a periodic safe-boundary hook: during run(), fn(total steps
-  /// done since finalize()) fires every `every` steps at a step boundary —
-  /// steps_done() is already updated when it runs, so fn may snapshot the
-  /// fields.  Return false from fn to stop the run early.  Pass every <= 0
-  /// or a null fn to uninstall.
+  /// Install a safe-boundary hook.  fn(total steps done since finalize())
+  /// fires inside run() and run_until_converged(): every `every` steps of
+  /// the call (counted from its last convergence check in the latter), and
+  /// at each convergence check that continues the run, but never at the end
+  /// of the call.  steps_done() is already updated when it runs, so fn may
+  /// snapshot the fields.  Return false from fn to stop the run early.  Pass
+  /// every <= 0 or a null fn to uninstall.
   void set_step_hook(int every, std::function<bool(int)> fn);
 
   /// Snapshot metadata for the current state (extents, steps_done,
@@ -117,7 +120,9 @@ class Simulation {
   io::SnapshotInfo restore_snapshot_file(const std::string& path);
 
   /// Iterate until the relative field change per `check_every` steps drops
-  /// below `tol` (or `max_steps`).  Returns the last relative change.
+  /// below `tol` (or `max_steps`, or the step hook stops the run).  Returns
+  /// the last relative change; like run(), rolls steps_done() back on a
+  /// throw.  Throws std::invalid_argument when check_every < 1.
   double run_until_converged(double tol, int max_steps, int check_every = 10);
 
   double total_energy() const { return em::total_energy(*fields_); }
@@ -136,10 +141,16 @@ class Simulation {
   const grid::FieldSet& fields() const { return *fields_; }
   const em::ThiimParams& params() const { return params_; }
   const exec::Engine& engine() const { return *engine_; }
-  const exec::EngineStats& last_stats() const { return engine_->stats(); }
+  /// Merged engine stats of the last run() or run_until_converged() call.
+  const exec::EngineStats& last_stats() const { return stats_; }
   int steps_done() const { return steps_done_; }
 
  private:
+  /// Advance through exec::run_segmented, cut at the hook cadence.
+  int advance(int steps);
+  /// A step boundary inside a call: the hook and the `engine.step` fault.
+  bool at_boundary(int steps_done);
+
   SimulationConfig cfg_;
   grid::Layout layout_;
   // Owned storage backs the pointers unless the BorrowedState ctor supplied
@@ -153,6 +164,7 @@ class Simulation {
   exec::Engine* engine_ = nullptr;
   bool finalized_ = false;
   int steps_done_ = 0;
+  exec::EngineStats stats_;
   std::function<bool(int)> step_hook_;
   int step_hook_every_ = 0;
 };

@@ -76,7 +76,9 @@ std::vector<int> parse_cpulist(const std::string& text) {
   return cpus;
 }
 
-HostInfo detect_host() {
+namespace {
+
+HostInfo probe_host() {
   HostInfo info;
   info.logical_cpus = static_cast<int>(std::thread::hardware_concurrency());
   if (info.logical_cpus <= 0) info.logical_cpus = 1;
@@ -146,6 +148,14 @@ HostInfo detect_host() {
   info.num_sockets = std::max(1, max_package_id(info.logical_cpus) + 1);
 
   return info;
+}
+
+}  // namespace
+
+HostInfo detect_host() {
+  // The host does not change within a process: probe sysfs once.
+  static const HostInfo cached = probe_host();
+  return cached;
 }
 
 }  // namespace emwd::util

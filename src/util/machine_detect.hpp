@@ -26,7 +26,8 @@ struct HostInfo {
   std::vector<std::vector<int>> numa_node_cpus;
 };
 
-/// Best-effort detection; every field has a sane fallback.
+/// Best-effort detection; every field has a sane fallback.  The first call
+/// probes sysfs; later calls return a copy of that probe.
 HostInfo detect_host();
 
 /// Parse a sysfs cpulist string ("0-3,8,10-11") into cpu ids; malformed

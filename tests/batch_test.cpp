@@ -1134,6 +1134,40 @@ TEST(SchedulerDeadline, GenerousBudgetDoesNotPerturbResults) {
   EXPECT_EQ(results[0].electric_energy, reference.electric_energy);
 }
 
+TEST(SchedulerDeadline, BudgetExpiringMidRunStopsFixedStepAndConvergenceJobs) {
+  // Both jobs would run for seconds; their budget expires mid-run, and each
+  // must stop at its next step boundary.  The convergence job checks every
+  // 10 steps, below the 16-step poll cadence, so its only boundaries are its
+  // convergence checks.
+  batch::Scheduler scheduler(batch::SchedulerConfig{.concurrency = 1,
+                                                    .pin_slots = false,
+                                                    .preempt_check_every = 16});
+  for (const bool converge : {false, true}) {
+    batch::Job job;
+    job.name = converge ? "converge" : "fixed";
+    job.config = scene_config(16.0, "naive");
+    job.steps = 200000;
+    if (converge) {
+      job.converge_tol = 1e-300;  // unreachable: only the deadline stops it
+      job.check_every = 10;
+    }
+    job.setup = paint_scene;
+    job.deadline_seconds = 0.2;
+    job.retry.max_attempts = 3;
+    scheduler.submit(std::move(job));
+  }
+  const auto results = scheduler.wait_all();
+  ASSERT_EQ(results.size(), 2u);
+  for (const batch::JobResult& r : results) {
+    SCOPED_TRACE(r.name);
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error_class, "deadline");
+    EXPECT_EQ(r.attempts, 1);
+  }
+  EXPECT_EQ(scheduler.stats().failed, 2u);
+  EXPECT_EQ(scheduler.stats().retries, 0u);
+}
+
 TEST(JobJson, FailurePolicyFieldsRoundTrip) {
   batch::Job job;
   job.name = "rt";

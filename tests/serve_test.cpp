@@ -626,6 +626,7 @@ TEST(ServeEndToEnd, CancelDropsPendingJobsAsCancelledResults) {
       cancel_acked = static_cast<std::size_t>(frame.get_int("jobs", 0));
     } else if (type == "result") {
       EXPECT_EQ(frame.find("result")->get_string("status", ""), "cancelled");
+      EXPECT_EQ(frame.find("result")->get_string("class", ""), "cancelled");
       ++cancelled;
     } else if (type == "done") {
       break;

@@ -118,11 +118,15 @@ TEST(Simulation, ConvergenceLoopTerminates) {
   const double change = sim.run_until_converged(/*tol=*/1e-30, /*max_steps=*/20,
                                                 /*check_every=*/5);
   EXPECT_EQ(sim.steps_done(), 20);  // tol unreachable -> runs to max_steps
+  EXPECT_EQ(sim.last_stats().steps, 20);  // the stats cover the whole call
   EXPECT_GT(change, 0.0);
   // A zero-source run converges instantly.
   Simulation quiet(small_cfg("naive"));
   quiet.finalize();
   EXPECT_DOUBLE_EQ(quiet.run_until_converged(1e-12, 10, 2), 0.0);
+  EXPECT_EQ(quiet.steps_done(), 2);
+  // A check interval below one step would "converge" without stepping.
+  EXPECT_THROW(quiet.run_until_converged(1e-12, 10, 0), std::invalid_argument);
   EXPECT_EQ(quiet.steps_done(), 2);
 }
 
