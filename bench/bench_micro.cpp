@@ -70,9 +70,9 @@ void BM_UpdateRowScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateRowScalar)->Arg(64)->Arg(256)->Arg(1024);
 
-/// One whole x-row of one component through update_comp_row on an nx x 8 x 8
-/// grid: BM_UpdateRow plus the per-row set-up (component table, source
-/// lookup, pointer arithmetic) that every engine pays once per row.  The
+/// One whole x-row of one component as a one-row run of update_comp_rows
+/// on an nx x 8 x 8 grid: BM_UpdateRow plus the set-up (component table,
+/// source lookup, pointer arithmetic) a run pays before its row.  The
 /// set-up cost is this minus BM_UpdateRow at the same nx.
 void BM_UpdateCompRow(benchmark::State& state) {
   const int nx = static_cast<int>(state.range(0));
@@ -80,7 +80,7 @@ void BM_UpdateCompRow(benchmark::State& state) {
   grid::FieldSet fs(L);
   em::build_random_stable(fs, 1);
   for (auto _ : state) {
-    kernels::update_comp_row(fs, kernels::Comp::Hyx, 0, nx, 4, 4);
+    kernels::update_comp_rows(fs, kernels::Comp::Hyx, 0, nx, 4, 5, 4);
     benchmark::DoNotOptimize(fs.field(kernels::Comp::Hyx).data());
     benchmark::ClobberMemory();
   }
@@ -89,26 +89,32 @@ void BM_UpdateCompRow(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateCompRow)->Arg(16)->Arg(24)->Arg(128);
 
-/// BM_UpdateCompRow's set-up on a one-class grid with periodic x, for Hyz:
-/// an x-axis component, so every call also updates the wrap cell (x = 0)
-/// as a one-cell row.  The vector bodies hoist a one-class row's (t, c)
-/// entry; BM_UpdateCompRow's random classes never take that form.
-void BM_UpdateCompRowUniform(benchmark::State& state) {
+/// The engines' unit of work on a benchmark scene: one run of 8 rows at
+/// one z of an nx x 8 x 8 grid with one class and periodic x, for Hyz, an
+/// x-axis component, so each row also copies its wrap-around partners into
+/// the x halo.  The vector bodies hoist a one-class row's (t, c) entry;
+/// BM_UpdateCompRow's random classes never take that form.  per_row is the
+/// run's time over its rows.
+void BM_UpdateCompRows(benchmark::State& state) {
+  constexpr int kRows = 8;
   const int nx = static_cast<int>(state.range(0));
-  grid::Layout L({nx, 8, 8});
+  grid::Layout L({nx, kRows, 8});
   grid::FieldSet fs(L);
   em::build_random_stable(fs, 1);
   std::fill_n(fs.classes(), L.padded_cells(), std::uint8_t{3});
   fs.set_x_boundary(grid::XBoundary::Periodic);
   for (auto _ : state) {
-    kernels::update_comp_row(fs, kernels::Comp::Hyz, 0, nx, 4, 4);
+    kernels::update_comp_rows(fs, kernels::Comp::Hyz, 0, nx, 0, kRows, 4);
     benchmark::DoNotOptimize(fs.field(kernels::Comp::Hyz).data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * nx);
+  state.SetItemsProcessed(state.iterations() * kRows * nx);
+  state.counters["per_row"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * kRows),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
   state.SetLabel(kernels::row_isa());
 }
-BENCHMARK(BM_UpdateCompRowUniform)->Arg(16)->Arg(24)->Arg(128);
+BENCHMARK(BM_UpdateCompRows)->Arg(16)->Arg(24)->Arg(128);
 
 void BM_ReferenceStep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                                                  : models::host_machine();
   if (const auto& k = tc.machine.calibration) {
     std::printf("calibrated %s in %.3f s (%d probe threads): %.2f MLUP/s per thread in L2 "
-                "(%.0f KiB), %.2f in L3, %.1f ns per row call; split drag tx %.3f, "
+                "(%.0f KiB), %.2f in L3, %.1f ns per row; split drag tx %.3f, "
                 "tz %.3f, tc %.3f; triad %.2f GB/s\n",
                 tc.machine.name.c_str(), probe.seconds(), k->threads, k->l2_mlups,
                 k->l2_bytes / 1024.0, k->l3_mlups, k->row_overhead_ns, k->drag_tx, k->drag_tz,

@@ -24,34 +24,35 @@ int source_id(int src_index) { return 36 + src_index; }
 
 std::int64_t comp_row_cells = 0;  // thread-unsafe accumulation is fine: replay is serial
 
-/// Emit one row's access stream into any sink exposing
-/// access_range(addr, bytes, write) — Hierarchy, a private cache front-end,
-/// or a recording sink.
+/// Emit the access stream of one run of rows, row by row in y order, into
+/// any sink exposing access_range(addr, bytes, write) — Hierarchy, a
+/// private cache front-end, or a recording sink.
 template <class Sink>
-void touch_row_impl(Sink& h, const grid::Layout& L, kernels::Comp comp, int x0, int x1,
-                    int j, int k) {
+void touch_rows_impl(Sink& h, const grid::Layout& L, kernels::Comp comp, int x0, int x1,
+                     int y0, int y1, int k) {
   if (x1 <= x0) return;
   const kernels::CompInfo& ci = kernels::info(comp);
-  const std::uint64_t base = L.at(x0, j, k);
   const std::uint64_t bytes = static_cast<std::uint64_t>(x1 - x0) * 16u;
   const std::ptrdiff_t shift = kernels::shift_offset(L, comp);
-
-  // Reads in roughly kernel order: component (RMW read), coefficients,
-  // optional source, partners at base and shifted index.
-  h.access_range(array_addr(field_id(comp), base), bytes, false);
-  h.access_range(array_addr(coeff_t_id(comp), base), bytes, false);
-  h.access_range(array_addr(coeff_c_id(comp), base), bytes, false);
-  if (ci.src_index >= 0) {
-    h.access_range(array_addr(source_id(ci.src_index), base), bytes, false);
+  for (int j = y0; j < y1; ++j) {
+    const std::uint64_t base = L.at(x0, j, k);
+    // Reads in roughly kernel order: component (RMW read), coefficients,
+    // optional source, partners at base and shifted index.
+    h.access_range(array_addr(field_id(comp), base), bytes, false);
+    h.access_range(array_addr(coeff_t_id(comp), base), bytes, false);
+    h.access_range(array_addr(coeff_c_id(comp), base), bytes, false);
+    if (ci.src_index >= 0) {
+      h.access_range(array_addr(source_id(ci.src_index), base), bytes, false);
+    }
+    h.access_range(array_addr(field_id(ci.partner_a), base), bytes, false);
+    h.access_range(array_addr(field_id(ci.partner_b), base), bytes, false);
+    h.access_range(array_addr(field_id(ci.partner_a), base + shift), bytes, false);
+    h.access_range(array_addr(field_id(ci.partner_b), base + shift), bytes, false);
+    // The component write (write-back, so it becomes DRAM traffic on
+    // eviction).
+    h.access_range(array_addr(field_id(comp), base), bytes, true);
+    comp_row_cells += (x1 - x0);
   }
-  h.access_range(array_addr(field_id(ci.partner_a), base), bytes, false);
-  h.access_range(array_addr(field_id(ci.partner_b), base), bytes, false);
-  h.access_range(array_addr(field_id(ci.partner_a), base + shift), bytes, false);
-  h.access_range(array_addr(field_id(ci.partner_b), base + shift), bytes, false);
-  // The component write (write-back, so it becomes DRAM traffic on eviction).
-  h.access_range(array_addr(field_id(comp), base), bytes, true);
-
-  comp_row_cells += (x1 - x0);
 }
 
 TrafficResult finish(Hierarchy& h) {
@@ -81,18 +82,18 @@ tiling::TileCoord find_interior_tile(const tiling::DiamondTiling& dt) {
 }
 
 /// Walk one full interior tile the way a one-thread group runs it.
-template <class RowFn>
-void walk_interior_tile(const grid::Layout& L, int dw, int bz, RowFn&& row) {
+template <class RunFn>
+void walk_interior_tile(const grid::Layout& L, int dw, int bz, RunFn&& run) {
   const tiling::DiamondTiling dt(dw, L.ny(), std::max(dw, 2));
   exec::traverse_tile(dt, find_interior_tile(dt), bz, L.nz(), exec::TgShape{},
-                      exec::TgSlot{}, row, [] {});
+                      exec::TgSlot{}, run, [] {});
 }
 
 }  // namespace
 
-void touch_comp_row(Hierarchy& h, const grid::Layout& L, kernels::Comp comp, int x0,
-                    int x1, int j, int k) {
-  touch_row_impl(h, L, comp, x0, x1, j, k);
+void touch_comp_rows(Hierarchy& h, const grid::Layout& L, kernels::Comp comp, int x0,
+                     int x1, int y0, int y1, int k) {
+  touch_rows_impl(h, L, comp, x0, x1, y0, y1, k);
 }
 
 TrafficResult replay_spatial(const grid::Layout& L, int steps, int block_y, Hierarchy& h) {
@@ -101,24 +102,25 @@ TrafficResult replay_spatial(const grid::Layout& L, int steps, int block_y, Hier
   for (int step = 0; step < steps; ++step) {
     for (bool h_phase : {true, false}) {
       exec::traverse_sweep(h_phase, L.ny(), 0, L.nz(), block_y,
-                           [&](kernels::Comp comp, int y, int z) {
-                             touch_row_impl(h, L, comp, 0, nx, y, z);
+                           [&](kernels::Comp comp, int y0, int y1, int z) {
+                             touch_rows_impl(h, L, comp, 0, nx, y0, y1, z);
                            });
     }
   }
   return finish(h);
 }
 
-/// Drive the MWD schedule and hand every row to `row(batch_slot, comp, y, z)`.
+/// Drive the MWD schedule and hand every run of rows to
+/// `run(batch_slot, comp, y_lo, y_hi, z)`.
 /// Tiles are grouped by DAG wavefront (mutually independent); within a wave,
 /// batches of num_tgs tiles have their per-(front, half-step) quanta — the
 /// exec::traverse_slice calls traverse_tile makes between barriers —
 /// interleaved round-robin, approximating the cache mixing of num_tgs
 /// concurrently-executing thread groups.  batch_slot identifies which of
-/// the num_tgs "virtual groups" issued the row.
-template <class RowFn>
+/// the num_tgs "virtual groups" issued the run.
+template <class RunFn>
 void drive_mwd(const grid::Layout& L, int steps, const exec::MwdParams& params,
-               RowFn&& row) {
+               RunFn&& run) {
   const int nz = L.nz();
   tiling::DiamondTiling dt(params.dw, L.ny(), steps);
   const auto& tiles = dt.tiles();
@@ -162,8 +164,8 @@ void drive_mwd(const grid::Layout& L, int steps, const exec::MwdParams& params,
           const int f = static_cast<int>(q / nslices);
           exec::traverse_slice(p.slices[q % nslices], f * params.bz, params.bz,
                                p.slices.front().s, nz, exec::TgShape{}, exec::TgSlot{},
-                               [&](kernels::Comp comp, int /*s*/, int y, int z) {
-                                 row(static_cast<int>(slot), comp, y, z);
+                               [&](kernels::Comp comp, int /*s*/, int y0, int y1, int z) {
+                                 run(static_cast<int>(slot), comp, y0, y1, z);
                                });
         }
       }
@@ -176,8 +178,8 @@ TrafficResult replay_mwd(const grid::Layout& L, int steps, const exec::MwdParams
                          Hierarchy& h) {
   comp_row_cells = 0;
   const int nx = L.nx();
-  drive_mwd(L, steps, params, [&](int /*slot*/, kernels::Comp comp, int y, int z) {
-    touch_row_impl(h, L, comp, 0, nx, y, z);
+  drive_mwd(L, steps, params, [&](int /*slot*/, kernels::Comp comp, int y0, int y1, int z) {
+    touch_rows_impl(h, L, comp, 0, nx, y0, y1, z);
   });
   return finish(h);
 }
@@ -225,8 +227,8 @@ PrivateSharedResult replay_mwd_private(const grid::Layout& L, int steps,
   }
   for (auto& f : fronts) f.next = &shared;
 
-  drive_mwd(L, steps, params, [&](int slot, kernels::Comp comp, int y, int z) {
-    touch_row_impl(fronts[static_cast<std::size_t>(slot)], L, comp, 0, nx, y, z);
+  drive_mwd(L, steps, params, [&](int slot, kernels::Comp comp, int y0, int y1, int z) {
+    touch_rows_impl(fronts[static_cast<std::size_t>(slot)], L, comp, 0, nx, y0, y1, z);
   });
 
   PrivateSharedResult out;
@@ -247,8 +249,8 @@ PrivateSharedResult replay_mwd_private(const grid::Layout& L, int steps,
 
 TrafficResult replay_single_tile(const grid::Layout& L, int dw, int bz, Hierarchy& h) {
   comp_row_cells = 0;
-  walk_interior_tile(L, dw, bz, [&](kernels::Comp comp, int /*s*/, int y, int z) {
-    touch_row_impl(h, L, comp, 0, L.nx(), y, z);
+  walk_interior_tile(L, dw, bz, [&](kernels::Comp comp, int /*s*/, int y0, int y1, int z) {
+    touch_rows_impl(h, L, comp, 0, L.nx(), y0, y1, z);
   });
   // A single tile updates cells over multiple half-steps; report LUPs as
   // cell-half-step-component updates / 12 as usual.
@@ -276,8 +278,8 @@ std::uint64_t tile_working_set_bytes(const grid::Layout& L, int dw, int bz) {
   for (int f = mid - 1; f <= mid; ++f) {
     for (const tiling::RowSlice& sl : slices) {
       exec::traverse_slice(sl, f * bz, bz, s_base, L.nz(), exec::TgShape{}, exec::TgSlot{},
-                           [&](kernels::Comp comp, int /*s*/, int y, int z) {
-                             touch_row_impl(sink, L, comp, 0, L.nx(), y, z);
+                           [&](kernels::Comp comp, int /*s*/, int y0, int y1, int z) {
+                             touch_rows_impl(sink, L, comp, 0, L.nx(), y0, y1, z);
                            });
     }
   }
@@ -292,8 +294,8 @@ ReuseProfile tile_reuse_profile(const grid::Layout& L, int dw, int bz) {
       if (!write) profile.touch_range(addr, bytes);
     }
   } sink;
-  walk_interior_tile(L, dw, bz, [&](kernels::Comp comp, int /*s*/, int y, int z) {
-    touch_row_impl(sink, L, comp, 0, L.nx(), y, z);
+  walk_interior_tile(L, dw, bz, [&](kernels::Comp comp, int /*s*/, int y0, int y1, int z) {
+    touch_rows_impl(sink, L, comp, 0, L.nx(), y0, y1, z);
   });
   return sink.profile;
 }

@@ -27,12 +27,13 @@ struct TrafficResult {
   }
 };
 
-/// Emit the access stream of one component row update (x cells [x0, x1) of
-/// row (j, k)): reads of the component, its t/c coefficients, optional
-/// source, and the two partner arrays at base and shifted index; write of
-/// the component.  Exposed for unit tests.
-void touch_comp_row(Hierarchy& h, const grid::Layout& L, kernels::Comp comp, int x0,
-                    int x1, int j, int k);
+/// Emit the access stream of one run of component row updates (x cells
+/// [x0, x1) of rows [y0, y1) at plane k, row by row): per row, reads of the
+/// component, its t/c coefficients, optional source, and the two partner
+/// arrays at base and shifted index; write of the component.  Exposed for
+/// unit tests.
+void touch_comp_rows(Hierarchy& h, const grid::Layout& L, kernels::Comp comp, int x0,
+                     int x1, int y0, int y1, int k);
 
 /// Untiled engine stream (exec::traverse_sweep): 12 separate full-grid nests
 /// per step, the z-shift ones y-blocked by `block_y` rows.  block_y >= L.ny()

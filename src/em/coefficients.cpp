@@ -79,8 +79,8 @@ void build_coefficients(grid::FieldSet& fs, const MaterialGrid& mats,
   // Under x-PML, fold the x slice into the class (class = palette id x
   // x-slice count + x slice), so that an x-axis row reads one slice like
   // every other row instead of splitting at each shell cell.  Past 256
-  // classes the x slices stay slices, and kernels::update_comp_row splits
-  // x-axis rows into runs of equal slice.
+  // classes the x slices stay slices, and kernels::update_comp_rows splits
+  // x-axis rows into stretches of equal slice.
   const int palette = static_cast<int>(mats.palette_size());
   const int x_slices = static_cast<int>(rep[0].size());
   const int fold = x_slices > 1 && palette * x_slices <= 256 ? x_slices : 1;

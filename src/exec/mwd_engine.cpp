@@ -91,8 +91,8 @@ class MwdEngine final : public Engine {
         const tiling::TileCoord tile = dt.tiles()[static_cast<std::size_t>(ti)];
         traverse_tile(
             dt, tile, p_.bz, nz, shape, slot,
-            [&](kernels::Comp comp, int /*s*/, int y, int z) {
-              kernels::update_comp_row(fs, comp, xc.begin, xc.end, y, z);
+            [&](kernels::Comp comp, int /*s*/, int y0, int y1, int z) {
+              kernels::update_comp_rows(fs, comp, xc.begin, xc.end, y0, y1, z);
             },
             [&] {
               ++local_barriers;

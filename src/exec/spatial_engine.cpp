@@ -67,8 +67,8 @@ class SpatialEngine final : public Engine {
       for (int step = 0; step < steps; ++step) {
         for (bool h_phase : {true, false}) {
           traverse_sweep(h_phase, ny, zc.begin, zc.end, by,
-                         [&](kernels::Comp comp, int y, int z) {
-                           kernels::update_comp_row(fs, comp, 0, nx, y, z);
+                         [&](kernels::Comp comp, int y0, int y1, int z) {
+                           kernels::update_comp_rows(fs, comp, 0, nx, y0, y1, z);
                          });
           barrier.arrive_and_wait();
           if (tid == 0) ++barrier_count;

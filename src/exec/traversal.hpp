@@ -8,6 +8,9 @@
 //   traverse_tile  — one MWD diamond tile (exec/mwd_engine, and through
 //                    it the wavefront engine), built from traverse_slice,
 //                    which the replay also interleaves across groups.
+// Both hand out runs: rows [y_lo, y_hi) of one component at one z-plane,
+// what kernels::update_comp_rows updates in one call.  Expanded row by row
+// in y order, a traversal's runs are its row order.
 #pragma once
 
 #include <algorithm>
@@ -47,62 +50,62 @@ struct TgSlot {
 };
 
 /// Traverse one half-step of the untiled sweep over the z-planes [z0, z1),
-/// invoking row(comp, y, z) for every x-row.  The phase's six components run
-/// in update order.  A z-shift component walks y-blocks of `by` rows
-/// outermost, so that the block's previous-plane layer of its two partner
-/// arrays stays cached (the layer condition of paper Sec. III-B); the other
-/// components sweep plane by plane.  by >= ny is the naive order (Sec.
-/// III-A): every component plane by plane, y innermost.  by < 1 reads as 1.
-template <class RowFn>
-void traverse_sweep(bool h_phase, int ny, int z0, int z1, int by, RowFn&& row) {
+/// invoking run(comp, y_lo, y_hi, z) for every run of x-rows: rows
+/// [y_lo, y_hi) of one component at plane z, in y order.  The phase's six
+/// components run in update order.  A z-shift component walks y-blocks of
+/// `by` rows outermost, one run per block and plane, so that the block's
+/// previous-plane layer of its two partner arrays stays cached (the layer
+/// condition of paper Sec. III-B); the other components run whole planes.
+/// by >= ny is the naive order (Sec. III-A): every component plane by
+/// plane, one run per plane.  by < 1 reads as 1.
+template <class RunFn>
+void traverse_sweep(bool h_phase, int ny, int z0, int z1, int by, RunFn&& run) {
   const auto& comps = h_phase ? kernels::kHComps : kernels::kEComps;
   for (kernels::Comp comp : comps) {
     const int block =
         kernels::info(comp).axis == kernels::Axis::Z ? std::max(1, std::min(by, ny)) : ny;
     for (int y0 = 0; y0 < ny; y0 += block) {
       const int y1 = std::min(ny, y0 + block);
-      for (int z = z0; z < z1; ++z) {
-        for (int y = y0; y < y1; ++y) row(comp, y, z);
-      }
+      for (int z = z0; z < z1; ++z) run(comp, y0, y1, z);
     }
   }
 }
 
 /// One quantum of a diamond tile: the half-step slice `sl` at wavefront
 /// front position `front`, for a tile whose first half-step is `s_base`.
-/// Invokes row(comp, s, y, z) for every x-row of the slice's z-window this
-/// slot owns: components outermost, then z-planes, then y-rows.  Slot rc
-/// owns comps {rc, rc+tc, ...} of the half-step's six; the window's planes
-/// go round-robin over rz.  The x split is the caller's job via the slot's
-/// rx (the row callback receives the full row; callers slice [x0, x1)
-/// themselves with split_range).  Returns false, invoking nothing, when the
-/// window is empty; that is uniform across a group's slots.
-template <class RowFn>
+/// Invokes run(comp, s, y_lo, y_hi, z) once per component and z-plane of
+/// the slice's z-window this slot owns, the slice's rows [y_lo, y_hi) at
+/// that plane: components outermost, then z-planes.  Slot rc owns comps
+/// {rc, rc+tc, ...} of the half-step's six; the window's planes go
+/// round-robin over rz.  The x split is the caller's job via the slot's rx
+/// (the callback receives full rows; callers slice [x0, x1) themselves with
+/// split_range).  Returns false, invoking nothing, when the window is
+/// empty; that is uniform across a group's slots.
+template <class RunFn>
 bool traverse_slice(const tiling::RowSlice& sl, int front, int bz, int s_base, int nz,
-                    const TgShape& shape, const TgSlot& slot, RowFn&& row) {
+                    const TgShape& shape, const TgSlot& slot, RunFn&& run) {
   const tiling::ZWindow win = tiling::z_window(front, bz, sl.s, s_base, nz);
   if (win.empty()) return false;
   const auto& comps = sl.h_phase ? kernels::kHComps : kernels::kEComps;
   for (int ci = slot.rc; ci < 6; ci += shape.tc) {
     for (int z = win.lo + slot.rz; z < win.hi; z += shape.tz) {
-      for (int y = sl.y_lo; y < sl.y_hi; ++y) {
-        row(comps[static_cast<std::size_t>(ci)], sl.s, y, z);
-      }
+      run(comps[static_cast<std::size_t>(ci)], sl.s, sl.y_lo, sl.y_hi, z);
     }
   }
   return true;
 }
 
 /// Traverse one diamond tile with the z-wavefront, invoking
-///   row(comp, s, y, z)        for every x-row this slot owns, and
-///   barrier()                 between half-steps (all slots, same count).
+///   run(comp, s, y_lo, y_hi, z)  for every run of x-rows this slot owns,
+///                                and
+///   barrier()                    between half-steps (all slots, same count).
 ///
 /// Iteration order (identical for every slot): wavefront front positions
 /// outermost, then half-steps ascending, each one traverse_slice quantum.
 /// A quantum with an empty window has no barrier.
-template <class RowFn, class BarrierFn>
+template <class RunFn, class BarrierFn>
 void traverse_tile(const tiling::DiamondTiling& dt, tiling::TileCoord tc_coord, int bz,
-                   int nz, const TgShape& shape, const TgSlot& slot, RowFn&& row,
+                   int nz, const TgShape& shape, const TgSlot& slot, RunFn&& run,
                    BarrierFn&& barrier) {
   const auto slices = dt.slices(tc_coord);
   if (slices.empty()) return;
@@ -110,7 +113,7 @@ void traverse_tile(const tiling::DiamondTiling& dt, tiling::TileCoord tc_coord, 
   const int fronts = tiling::num_fronts(nz, bz, s_base, slices.back().s);
   for (int f = 0; f < fronts; ++f) {
     for (const tiling::RowSlice& sl : slices) {
-      if (traverse_slice(sl, f * bz, bz, s_base, nz, shape, slot, row)) barrier();
+      if (traverse_slice(sl, f * bz, bz, s_base, nz, shape, slot, run)) barrier();
     }
   }
 }

@@ -10,23 +10,6 @@ Field::Field(const Layout& layout) : layout_(layout), data_(layout.padded_cells(
 
 void Field::clear() { std::fill(data_.begin(), data_.end(), 0.0); }
 
-void Field::clear_halo() {
-  const int h = layout_.halo();
-  const int nx = layout_.nx(), ny = layout_.ny(), nz = layout_.nz();
-  for (int k = -h; k < nz + h; ++k) {
-    for (int j = -h; j < ny + h; ++j) {
-      const bool jk_interior = (j >= 0 && j < ny && k >= 0 && k < nz);
-      double* row = data_.data() + 2 * layout_.at(-h, j, k);
-      if (!jk_interior) {
-        std::fill(row, row + 2 * (nx + 2 * h), 0.0);
-      } else {
-        std::fill(row, row + 2 * h, 0.0);                       // left halo
-        std::fill(row + 2 * (h + nx), row + 2 * (nx + 2 * h), 0.0);  // right halo
-      }
-    }
-  }
-}
-
 void check_plane_copy(const Layout& ls, const Layout& ld, int k_src, int k_dst,
                       int count) {
   if (ls.nx() != ld.nx() || ls.ny() != ld.ny() || ls.halo() != ld.halo() ||

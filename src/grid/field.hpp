@@ -45,8 +45,6 @@ class Field {
 
   /// Reset everything (interior and halo) to zero.
   void clear();
-  /// Zero only the halo cells; used to restore Dirichlet boundaries.
-  void clear_halo();
 
   /// Copy `count` whole padded z-planes (interior plus x/y halo rows) from
   /// `src`, planes [k_src, k_src + count) into [k_dst, k_dst + count).

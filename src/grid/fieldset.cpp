@@ -71,17 +71,6 @@ std::complex<double> FieldSet::c_at(kernels::Comp c, int i, int j, int k) const 
   return {c_[kernels::idx(c)][e], c_[kernels::idx(c)][e + 1]};
 }
 
-std::size_t FieldSet::in_plane(int j, int k) const {
-  const std::size_t plane_start =
-      static_cast<std::size_t>(k + layout_.halo()) * static_cast<std::size_t>(layout_.stride_z());
-  return 2 * (layout_.at(0, j, k) - plane_start);
-}
-
-const double* FieldSet::source_row(int s, int j, int k) const {
-  const Doubles& p = plane(s, k);
-  return p.empty() ? zero_row_.data() + 2 * layout_.x_offset() : p.data() + in_plane(j, k);
-}
-
 std::complex<double> FieldSet::source_at(int s, int i, int j, int k) const {
   const double* row = source_row(s, j, k);
   return {row[2 * i], row[2 * i + 1]};

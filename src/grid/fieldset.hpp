@@ -16,8 +16,8 @@
 //     without PML has one slice, an axis with PML one per distinct
 //     conductivity.  A y-axis row reads the slice of its j, a z-axis row
 //     the slice of its k.  An x-axis row reads one slice when x has one;
-//     otherwise it splits into runs of equal slice
-//     (kernels::update_comp_row);
+//     otherwise it splits into stretches of equal slice
+//     (kernels::update_comp_rows);
 //   - per source array, only the padded z-planes that were written, plus
 //     one shared zero row that source-owning rows without a stored plane
 //     read.  Those rows still add +0.0, which turns a -0.0 into +0.0, so
@@ -40,10 +40,15 @@
 namespace emwd::grid {
 
 /// Boundary handling along x (the fast dimension).  Dirichlet is the
-/// paper's benchmark configuration (zero halo); Periodic implements the
-/// paper's Sec. VI outlook via peeled first/last x iterations that read the
-/// wrapped-around partner cells.  y and z remain Dirichlet (the tiling
-/// would need wrap-around dependencies otherwise).
+/// paper's benchmark configuration: the x halo stays zero, because nothing
+/// writes it.  Periodic implements the paper's Sec. VI outlook: before an
+/// x-shift row reads across the domain edge, kernels::update_comp_rows
+/// copies the wrapped-around partner cells into the one-cell x halo, so
+/// the row reads them as its neighbours.  A fresh set, clear_fields() and
+/// clear_all() zero the halo, and copy_field_planes_from() copies it with
+/// its planes, so a set's ghosts suit its boundary: zero under Dirichlet,
+/// rewritten before every read under Periodic.  y and z remain Dirichlet
+/// (the tiling would need wrap-around dependencies otherwise).
 enum class XBoundary : std::uint8_t { Dirichlet, Periodic };
 
 class FieldSet {
@@ -99,8 +104,11 @@ class FieldSet {
 
   /// Row (j, k) of source array s (0..3, see kernels::kSourceNames) at
   /// interior x = 0: the stored plane's row, or the shared zero row when
-  /// plane k is not stored.
-  const double* source_row(int s, int j, int k) const;
+  /// plane k is not stored.  Inline: the kernel asks once per row.
+  const double* source_row(int s, int j, int k) const {
+    const Doubles& p = plane(s, k);
+    return p.empty() ? zero_row_.data() + 2 * layout_.x_offset() : p.data() + in_plane(j, k);
+  }
 
   /// Source s at a cell: +0.0 off the stored planes.
   std::complex<double> source_at(int s, int i, int j, int k) const;
@@ -152,7 +160,11 @@ class FieldSet {
   /// (i, j, k) reads.
   std::size_t entry_of(kernels::Comp c, int i, int j, int k) const;
   /// Offset in doubles of row (j, k)'s interior x = 0 within its z-plane.
-  std::size_t in_plane(int j, int k) const;
+  std::size_t in_plane(int j, int k) const {
+    return 2 * (layout_.at(0, j, k) -
+                static_cast<std::size_t>(k + layout_.halo()) *
+                    static_cast<std::size_t>(layout_.stride_z()));
+  }
   const Doubles& plane(int s, int k) const {
     return src_[static_cast<std::size_t>(s)][static_cast<std::size_t>(k + layout_.halo())];
   }

@@ -4,8 +4,10 @@
 // [0, ny) (middle/y, the diamond dimension) and k in [0, nz) (outer/z, the
 // wavefront dimension).  A one-cell halo surrounds the interior on all sides;
 // it is kept at zero, which implements the homogeneous Dirichlet boundary
-// conditions the paper benchmarks with (Sec. II-B).  All indices address
-// *complex* cells; a cell is two doubles (re, im) exactly like the
+// conditions the paper benchmarks with (Sec. II-B).  Under periodic x
+// (grid::XBoundary) the x-halo cells instead hold the wrapped partner
+// values the kernel copies there before a row reads them.  All indices
+// address *complex* cells; a cell is two doubles (re, im) exactly like the
 // interleaved layout in the paper's Listings 1 and 2.
 #pragma once
 

@@ -6,11 +6,8 @@ namespace emwd::kernels {
 
 void reference_component_sweep(grid::FieldSet& fs, Comp comp) {
   const grid::Layout& layout = fs.layout();
-  const int nx = layout.nx(), ny = layout.ny(), nz = layout.nz();
-  for (int k = 0; k < nz; ++k) {
-    for (int j = 0; j < ny; ++j) {
-      update_comp_row(fs, comp, 0, nx, j, k);
-    }
+  for (int k = 0; k < layout.nz(); ++k) {
+    update_comp_rows(fs, comp, 0, layout.nx(), 0, layout.ny(), k);
   }
 }
 

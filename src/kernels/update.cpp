@@ -311,58 +311,78 @@ std::ptrdiff_t shift_offset(const grid::Layout& layout, Comp comp) {
   }
 }
 
-void update_comp_row(grid::FieldSet& fs, Comp comp, int x0, int x1, int j, int k) {
-  if (x1 <= x0) return;
+void update_comp_rows(grid::FieldSet& fs, Comp comp, int x0, int x1, int y0, int y1, int k) {
+  if (x1 <= x0 || y1 <= y0) return;
   const CompInfo& ci = info(comp);
   const grid::Layout& layout = fs.layout();
   const int nx = layout.nx();
+  const auto body = row_kernel().run;
 
-  // Cells [i0, i1) of the row, all reading table slice `slice`, with the
-  // partner reads `shift` cells away.
-  const auto run = [&](int i0, int i1, int slice, std::ptrdiff_t shift) {
-    const std::size_t base = layout.at(i0, j, k);
-    RowArgs args;
-    args.x = fs.field(comp).data() + 2 * base;
-    args.t = fs.t_slice(comp, slice);
-    args.c = fs.c_slice(comp, slice);
-    args.src = ci.src_index >= 0 ? fs.source_row(ci.src_index, j, k) + 2 * i0 : nullptr;
-    args.a = fs.field(ci.partner_a).data() + 2 * base;
-    args.b = fs.field(ci.partner_b).data() + 2 * base;
-    args.shift = shift;
-    args.ds = static_cast<double>(ci.diff_sign);
-    args.n = i1 - i0;
-    args.cls = fs.classes() + base;
-    update_row(args);
-  };
-  const std::ptrdiff_t shift = shift_offset(layout, comp);
+  double* const x = fs.field(comp).data();
+  double* const a = fs.field(ci.partner_a).data();
+  double* const b = fs.field(ci.partner_b).data();
+  const std::uint8_t* const cls = fs.classes();
 
-  // Periodic x: the wrap-around cell of an x-shift component is a one-cell
-  // row whose partner sits at the opposite domain edge.  The Ĥ components
-  // read x-1 (wraps at x = 0 to nx-1, nx-1 cells up); the Ê components read
-  // x+1 (wraps at x = nx-1 to 0, nx-1 cells down).
-  if (fs.x_boundary() == grid::XBoundary::Periodic && ci.axis == Axis::X) {
-    if (ci.shift < 0 && x0 == 0) {
-      run(0, 1, fs.slice(Axis::X, 0), nx - 1);
-      ++x0;
-    } else if (ci.shift > 0 && x1 == nx) {
-      run(nx - 1, nx, fs.slice(Axis::X, nx - 1), -(nx - 1));
-      --x1;
+  // Periodic x: the ghost an x-shift row reads at its wrapped end, and the
+  // cell it mirrors, in complex cells from the row's x = 0.  Ĥ rows read
+  // x-1 (x = -1 mirrors nx-1), Ê rows x+1 (x = nx mirrors 0).
+  const bool wrap = fs.x_boundary() == grid::XBoundary::Periodic && ci.axis == Axis::X &&
+                    (ci.shift < 0 ? x0 == 0 : x1 == nx);
+  const std::ptrdiff_t ghost = ci.shift < 0 ? -1 : nx;
+  const std::ptrdiff_t mirror = ci.shift < 0 ? nx - 1 : 0;
+
+  // One table slice for the run unless y or x has several along the axis.
+  const bool y_slices = ci.axis == Axis::Y && fs.num_slices(Axis::Y) > 1;
+  const bool x_slices = ci.axis == Axis::X && fs.num_slices(Axis::X) > 1;
+  const int slice = fs.slice(ci.axis, axis_position(ci.axis, x0, y0, k));
+
+  RowArgs g;
+  g.t = fs.t_slice(comp, slice);
+  g.c = fs.c_slice(comp, slice);
+  g.shift = shift_offset(layout, comp);
+  g.ds = static_cast<double>(ci.diff_sign);
+  g.n = x1 - x0;
+  for (int j = y0; j < y1; ++j) {
+    const std::size_t row = layout.at(0, j, k);
+    if (wrap) {
+      for (double* p : {a + 2 * row, b + 2 * row}) {
+        p[2 * ghost] = p[2 * mirror];
+        p[2 * ghost + 1] = p[2 * mirror + 1];
+      }
     }
-    if (x1 <= x0) return;
-  }
-
-  if (ci.axis != Axis::X || fs.num_slices(Axis::X) == 1) {
-    run(x0, x1, fs.slice(ci.axis, axis_position(ci.axis, x0, j, k)), shift);
-    return;
-  }
-  // Several x slices: one run per stretch of equal slice (each shell cell,
-  // the interior).
-  for (int i0 = x0; i0 < x1;) {
-    const int slice = fs.slice(Axis::X, i0);
-    int i1 = i0 + 1;
-    while (i1 < x1 && fs.slice(Axis::X, i1) == slice) ++i1;
-    run(i0, i1, slice, shift);
-    i0 = i1;
+    if (y_slices) {
+      g.t = fs.t_slice(comp, fs.slice(Axis::Y, j));
+      g.c = fs.c_slice(comp, fs.slice(Axis::Y, j));
+    }
+    const std::size_t base = row + x0;
+    g.x = x + 2 * base;
+    g.a = a + 2 * base;
+    g.b = b + 2 * base;
+    g.cls = cls + base;
+    g.src = ci.src_index >= 0 ? fs.source_row(ci.src_index, j, k) + 2 * x0 : nullptr;
+    if (!x_slices) {
+      body(g);
+      continue;
+    }
+    // Several x slices: one call per stretch of equal slice (each shell
+    // cell, the interior).
+    for (int i0 = x0; i0 < x1;) {
+      const int s = fs.slice(Axis::X, i0);
+      int i1 = i0 + 1;
+      while (i1 < x1 && fs.slice(Axis::X, i1) == s) ++i1;
+      const int skip = i0 - x0;
+      RowArgs part = g;
+      part.x += 2 * skip;
+      part.a += 2 * skip;
+      part.b += 2 * skip;
+      part.cls += skip;
+      if (part.src != nullptr) part.src += 2 * skip;
+      part.t = fs.t_slice(comp, s);
+      part.c = fs.c_slice(comp, s);
+      part.n = i1 - i0;
+      body(part);
+      i0 = i1;
+    }
   }
 }
 

@@ -1,10 +1,12 @@
 // The THIIM component-update kernels.
 //
-// update_row() is the library's innermost loop and its only row-kernel
-// entry point: one x-row of one split component, in exactly the
-// complex-arithmetic form of the paper's Listings 1 and 2 (interleaved re/im
-// doubles, read-modify-write of the component, two partner reads at base and
-// shifted index, complex t and c coefficients, optional source term).
+// update_row() is the library's innermost loop: one x-row of one split
+// component, in exactly the complex-arithmetic form of the paper's Listings
+// 1 and 2 (interleaved re/im doubles, read-modify-write of the component,
+// two partner reads at base and shifted index, complex t and c
+// coefficients, optional source term).  Engines reach it through one entry,
+// update_comp_rows(), which sets it up once per run of rows of one
+// component at one z-plane and folds the periodic wrap into the row.
 //
 // The paper streams t and c as per-cell arrays.  Engines instead pass a
 // row of uint8 coefficient classes and a table slice: cell i reads t and c
@@ -99,16 +101,23 @@ struct RowBody {
 /// "avx512" where CPUID reports them.  update_row() runs the last one.
 std::vector<RowBody> row_bodies();
 
-/// Convenience wrapper: updates component `comp` for the x-range [x0, x1)
-/// of row (j, k) of `fs`.  Resolves arrays, table slice, shift offset and
-/// diff sign from the component table; an x-axis row of a set with several
-/// x slices runs once per run of equal slice.  Under XBoundary::Periodic,
-/// the x-shift components peel the wrap-around cell (x = 0 for Ĥ, x = nx-1
-/// for Ê) into a one-cell update_row() whose shift, +(nx-1) or -(nx-1),
-/// reads the partner values at the opposite domain edge — the paper's
-/// Sec. VI scheme.  The wrapped reads target the *other* field's previous
-/// half-step values, so tiling and thread splits stay race-free unchanged.
-void update_comp_row(grid::FieldSet& fs, Comp comp, int x0, int x1, int j, int k);
+/// The engines' row entry: updates component `comp` on the x-range
+/// [x0, x1) of rows [y0, y1) at plane k of `fs`.  Once per run it resolves
+/// the component's arrays, shift and diff sign, the table slice of plane k
+/// (or the set's one x slice) and the body update_row() dispatches to; per
+/// row it sets the pointers, the y slice when y has several, and the source
+/// row.  An x-axis row of a set with several x slices runs once per stretch
+/// of equal slice.
+///
+/// Under XBoundary::Periodic an x-shift component reads its wrap-around
+/// partners through the one-cell x halo, the paper's Sec. VI scheme: before
+/// an Ĥ row whose range starts at x = 0 the run copies the two partners'
+/// x = nx-1 cells into their ghost at x = -1, and before an Ê row whose
+/// range ends at nx their x = 0 cells into the ghost at x = nx.  So the
+/// whole row is one body call, with the operands the wrapped read had.
+/// Only that row reads those ghosts, and they belong to the other phase's
+/// arrays, so tiling and thread splits stay race-free unchanged.
+void update_comp_rows(grid::FieldSet& fs, Comp comp, int x0, int x1, int y0, int y1, int k);
 
 /// Offset in complex cells of a component's shifted partner read.
 std::ptrdiff_t shift_offset(const grid::Layout& layout, Comp comp);

@@ -93,8 +93,8 @@ int planes_for(std::size_t bytes, int nx) {
   return std::max(1, static_cast<int>(static_cast<double>(bytes) / per_plane) - 2);
 }
 
-/// One half-step of rank r's share: the six components of the phase, over
-/// the slab's rows, split like traverse_tile splits a tile.
+/// One half-step of rank r's share: the six components of the phase, one
+/// run of the slab's rows per plane, split like traverse_tile splits a tile.
 void half_step(grid::FieldSet& fs, bool h_phase, Split split, int parts, int r) {
   const auto& comps = h_phase ? kernels::kHComps : kernels::kEComps;
   const grid::Layout& L = fs.layout();
@@ -104,9 +104,7 @@ void half_step(grid::FieldSet& fs, bool h_phase, Split split, int parts, int r) 
   if (split == Split::X) x0 = L.nx() * r / parts, x1 = L.nx() * (r + 1) / parts;
   for (int ci = c0; ci < 6; ci += cstep) {
     for (int z = z0; z < L.nz(); z += zstep) {
-      for (int y = 0; y < L.ny(); ++y) {
-        kernels::update_comp_row(fs, comps[static_cast<std::size_t>(ci)], x0, x1, y, z);
-      }
+      kernels::update_comp_rows(fs, comps[static_cast<std::size_t>(ci)], x0, x1, 0, L.ny(), z);
     }
   }
 }

@@ -3,10 +3,11 @@
 // In the spirit of the ECM model (Treibig, Hager, Wellein), the probe
 // charges time per cache level instead of guessing one per-core rate: a
 // team of min(3, cpus) threads updates all 12 components of small slabs
-// through kernels::update_comp_row, as the engines do, and measures
+// through kernels::update_comp_rows, one run of a slab's rows per
+// (component, z), as the engines do, and measures
 //   - the per-thread rate on a slab that fits the L2 and on one that
 //     spills into the L3, with long (128-cell) x-rows;
-//   - the fixed cost of one row call, from 16-cell rows;
+//   - the fixed cost per row of such a run, from 16-cell rows;
 //   - the drag of each intra-group split kind (x, z, components): the team
 //     shares one slab with a util::SpinBarrier per half-step, against the
 //     same team on private slabs;

@@ -29,8 +29,8 @@ struct Calibration {
   double l2_mlups = 0.0;
   double l3_mlups = 0.0;
   int row_cells = 128;
-  /// Fixed cost of one update_comp_row call: what a short row pays on top
-  /// of its cells (measured against 16-cell rows).
+  /// Fixed cost per row of a kernels::update_comp_rows run: what a short
+  /// row pays on top of its cells (measured against 16-cell rows).
   double row_overhead_ns = 0.0;
   /// Drag of one thread group splitting a tile along x, z or the field
   /// components, against the same threads on private slabs: a T-way split

@@ -356,6 +356,36 @@ TEST(SchedulerPooling, RepeatedShapesSkipRebuildAndRetuning) {
   EXPECT_EQ(st.engine.steps, static_cast<std::int64_t>(n_jobs) * 4);
 }
 
+TEST(SchedulerPooling, PeriodicThenDirichletJobOnOnePooledSetMatchFreshSets) {
+  // A periodic job leaves wrapped partner values in its FieldSet's x halo.
+  // The Dirichlet job that recycles the set must read zero ghosts again, so
+  // each job matches a standalone Simulation on a fresh set bit for bit.
+  batch::SchedulerConfig sc;
+  sc.concurrency = 1;
+  sc.pin_slots = false;
+  batch::Scheduler scheduler(sc);
+  std::vector<thiim::SimulationConfig> configs;
+  for (const auto bc : {grid::XBoundary::Periodic, grid::XBoundary::Dirichlet}) {
+    configs.push_back(scene_config(14.0, "mwd(dw=3,bz=2)"));
+    configs.back().x_boundary = bc;
+    batch::Job job;
+    job.config = configs.back();
+    job.steps = 8;
+    job.setup = paint_scene;
+    scheduler.submit(std::move(job));
+  }
+  const auto results = scheduler.wait_all();
+  EXPECT_EQ(scheduler.stats().pool.fields_hits, 1);
+  ASSERT_EQ(results.size(), configs.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok) << results[i].error;
+    const Observables ref = run_standalone(configs[i], 8);
+    EXPECT_EQ(results[i].total_energy, ref.total_energy) << "job " << i;
+    EXPECT_EQ(results[i].electric_energy, ref.electric_energy) << "job " << i;
+    EXPECT_EQ(results[i].absorption, ref.absorption) << "job " << i;
+  }
+}
+
 // ------------------------------------------------------------- cancellation
 
 TEST(SchedulerCancel, NoJobStartsAfterCancelReturnsAndQueueDrains) {

@@ -135,7 +135,7 @@ TEST(Replay, TouchCompRowLineCounts) {
   Hierarchy h = Hierarchy::llc_only(1 << 22);
   // Hzx: no source -> 5 distinct arrays + 2 shifted partner ranges, one
   // write range.  16 cells * 16 B = 256 B = 4 lines per range.
-  cachesim::touch_comp_row(h, L, kernels::Comp::Hzx, 0, 16, 1, 1);
+  cachesim::touch_comp_rows(h, L, kernels::Comp::Hzx, 0, 16, 1, 2, 1);
   // Reads: X,t,c, A,B, Ash,Bsh = 7 ranges; write X = 1 range (hits).
   const auto& llc = h.level(0);
   EXPECT_EQ(llc.stats().stores, 4u);          // write pass over X
@@ -220,9 +220,11 @@ TEST(Replay, OneGroupMwdReplayIsTheEnginesTileTraversal) {
   for (const tiling::TileCoord& tile : dt.tiles()) {
     exec::traverse_tile(
         dt, tile, params.bz, L.nz(), exec::TgShape{}, exec::TgSlot{},
-        [&](kernels::Comp comp, int /*s*/, int y, int z) {
-          cachesim::touch_comp_row(walked_h, L, comp, 0, L.nx(), y, z);
-          row_cells += L.nx();
+        [&](kernels::Comp comp, int /*s*/, int y0, int y1, int z) {
+          for (int y = y0; y < y1; ++y) {
+            cachesim::touch_comp_rows(walked_h, L, comp, 0, L.nx(), y, y + 1, z);
+            row_cells += L.nx();
+          }
         },
         [] {});
   }

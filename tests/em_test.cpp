@@ -1,6 +1,7 @@
 // Unit tests for materials, geometry, PML and THIIM coefficients.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -255,9 +256,11 @@ cd dense_update(const grid::FieldSet& s, const kernels::CompInfo& ci, int i, int
 /// set, must hold for every interior cell and component exactly the
 /// compute_coeffs pair the dense per-cell fill stored, with PML on all three
 /// axes, and the sources must be src_scale x amplitude on the plane and
-/// +0.0 elsewhere.  Updating each component must then match the per-cell
-/// arithmetic on those values, the periodic peel included.  `x_slices` is
-/// the slice count the set keeps along x.
+/// +0.0 elsewhere.  Updating each component through the run entry must
+/// then match the per-cell arithmetic on those values, the periodic wrap
+/// included, whether a plane runs whole or as runs split in y and x (so
+/// each wrapped end runs on its own).  `x_slices` is the slice count the
+/// set keeps along x.
 void expect_tables_equal_the_per_cell_formula(const em::MaterialGrid& mats, int x_slices) {
   const grid::Layout& L = mats.layout();
   const em::ThiimParams p = em::make_params(12.0);
@@ -288,10 +291,18 @@ void expect_tables_equal_the_per_cell_formula(const em::MaterialGrid& mats, int 
       }
     }
 
+    // Whole planes, and planes split into runs {x0, x1, y0, y1}: y [0, 2) +
+    // [2, ny) by x [0, 1) + [1, nx).
+    const int nx = L.nx(), ny = L.ny();
+    const std::array<std::array<int, 4>, 4> split{
+        {{0, 1, 0, 2}, {1, nx, 0, 2}, {0, 1, 2, ny}, {1, nx, 2, ny}}};
     for (const auto& ci : kernels::kComps) {
-      grid::FieldSet next(fs);
+      grid::FieldSet next(fs), next_split(fs);
       for (int k = 0; k < L.nz(); ++k) {
-        for (int j = 0; j < L.ny(); ++j) kernels::update_comp_row(next, ci.self, 0, L.nx(), j, k);
+        kernels::update_comp_rows(next, ci.self, 0, nx, 0, ny, k);
+        for (const auto& [x0, x1, y0, y1] : split) {
+          kernels::update_comp_rows(next_split, ci.self, x0, x1, y0, y1, k);
+        }
       }
       for (int k = 0; k < L.nz(); ++k) {
         for (int j = 0; j < L.ny(); ++j) {
@@ -309,9 +320,11 @@ void expect_tables_equal_the_per_cell_formula(const em::MaterialGrid& mats, int 
                                                   : cd(0.0, 0.0)))
                   << ci.name << " k=" << k;
             }
-            ASSERT_TRUE(same_bits(next.field(ci.self).at(i, j, k),
-                                  dense_update(fs, ci, i, j, k, cc.t, cc.c, src)))
+            const cd want = dense_update(fs, ci, i, j, k, cc.t, cc.c, src);
+            ASSERT_TRUE(same_bits(next.field(ci.self).at(i, j, k), want))
                 << ci.name << " (" << i << "," << j << "," << k << ")";
+            ASSERT_TRUE(same_bits(next_split.field(ci.self).at(i, j, k), want))
+                << ci.name << " (" << i << "," << j << "," << k << "), split runs";
           }
         }
       }

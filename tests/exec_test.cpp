@@ -101,8 +101,8 @@ TEST(Traversal, CoversEveryRowOfTheTileExactlyOnce) {
       const TgSlot slot = TgSlot::from_rank(rank, shape);
       exec::traverse_tile(
           dt, tile, /*bz=*/2, nz, shape, slot,
-          [&](kernels::Comp comp, int s, int y, int z) {
-            cover[{kernels::idx(comp), s, y, z}]++;
+          [&](kernels::Comp comp, int s, int y0, int y1, int z) {
+            for (int y = y0; y < y1; ++y) cover[{kernels::idx(comp), s, y, z}]++;
           },
           [&] { barriers[static_cast<std::size_t>(rank)]++; });
     }
@@ -137,8 +137,8 @@ TEST(Traversal, SweepVisitsEveryRowOnceAndByAtLeastNyIsTheReferenceOrder) {
 
     for (int by : {1, 3, ny, ny + 5}) {
       std::vector<Row> order;
-      exec::traverse_sweep(h_phase, ny, z0, z1, by, [&](kernels::Comp c, int y, int z) {
-        order.emplace_back(kernels::idx(c), y, z);
+      exec::traverse_sweep(h_phase, ny, z0, z1, by, [&](kernels::Comp c, int y0, int y1, int z) {
+        for (int y = y0; y < y1; ++y) order.emplace_back(kernels::idx(c), y, z);
       });
       std::vector<Row> sorted = order;
       std::sort(sorted.begin(), sorted.end());
@@ -178,7 +178,9 @@ TEST(Traversal, HalfStepsAscendWithinAFront) {
   std::vector<std::vector<int>> quanta(1);  // the s of every row, per quantum
   exec::traverse_tile(
       dt, tile, bz, nz, TgShape{}, TgSlot{},
-      [&](kernels::Comp, int s, int, int) { quanta.back().push_back(s); },
+      [&](kernels::Comp, int s, int y0, int y1, int) {
+        for (int y = y0; y < y1; ++y) quanta.back().push_back(s);
+      },
       [&] { quanta.emplace_back(); });
   ASSERT_TRUE(quanta.back().empty()) << "rows after the last barrier";
   quanta.pop_back();

@@ -142,7 +142,7 @@ TEST(UpdateRow, MatchesComplexArithmetic) {
   }
 }
 
-TEST(UpdateCompRow, SingleCellHandComputed) {
+TEST(UpdateCompRows, SingleCellHandComputed) {
   // One-cell grid exercises the full array plumbing: Hyx reads Exy/Exz at
   // z-1 (halo zero) with diff_sign +1 and the SrcHy array.
   grid::Layout L({1, 1, 1});
@@ -153,7 +153,7 @@ TEST(UpdateCompRow, SingleCellHandComputed) {
   fs.field(Comp::Exy).set(0, 0, 0, {2.0, -1.0});
   fs.field(Comp::Exz).set(0, 0, 0, {-0.5, 0.5});
 
-  kernels::update_comp_row(fs, Comp::Hyx, 0, 1, 0, 0);
+  kernels::update_comp_rows(fs, Comp::Hyx, 0, 1, 0, 1, 0);
 
   const cd expected = reference_cell({1.0, 2.0}, {0.5, -0.5}, {0.25, 0.125}, {0.1, 0.2},
                                      {2.0, -1.0}, {-0.5, 0.5}, {0, 0}, {0, 0}, +1.0);
@@ -162,7 +162,7 @@ TEST(UpdateCompRow, SingleCellHandComputed) {
   EXPECT_NEAR(got.imag(), expected.imag(), 1e-15);
 }
 
-TEST(UpdateCompRow, RowWithoutSourcePlaneStillAddsPositiveZero) {
+TEST(UpdateCompRows, RowWithoutSourcePlaneStillAddsPositiveZero) {
   // Adding a +0.0 source turns a -0.0 pre-source value into +0.0.  A
   // source-owning row with no stored plane must still add it: skipping the
   // add would keep -0.0 and change snapshot bytes.
@@ -182,7 +182,7 @@ TEST(UpdateCompRow, RowWithoutSourcePlaneStillAddsPositiveZero) {
   kernels::update_row(args);
   ASSERT_TRUE(std::signbit(x[0]));
 
-  kernels::update_comp_row(fs, Comp::Hyx, 0, 3, 0, 0);
+  kernels::update_comp_rows(fs, Comp::Hyx, 0, 3, 0, 1, 0);
   for (int i = 0; i < 3; ++i) {
     const double re = fs.field(Comp::Hyx).at(i, 0, 0).real();
     EXPECT_EQ(re, 0.0);
@@ -190,7 +190,7 @@ TEST(UpdateCompRow, RowWithoutSourcePlaneStillAddsPositiveZero) {
   }
 }
 
-TEST(UpdateCompRow, ShiftReadsNeighbourCell) {
+TEST(UpdateCompRows, ShiftReadsNeighbourCell) {
   // Hyz reads Ezx+Ezy at x-1: give the neighbour a distinctive value and
   // check the diff enters with diff_sign -1 (shifted - current).
   grid::Layout L({2, 1, 1});
@@ -199,7 +199,7 @@ TEST(UpdateCompRow, ShiftReadsNeighbourCell) {
   fs.field(Comp::Ezx).set(0, 0, 0, {3.0, 0.0});
   fs.field(Comp::Ezx).set(1, 0, 0, {5.0, 0.0});
 
-  kernels::update_comp_row(fs, Comp::Hyz, 1, 2, 0, 0);
+  kernels::update_comp_rows(fs, Comp::Hyz, 1, 2, 0, 1, 0);
   // diff = -1 * (Ezx[1] - Ezx[0]) = -2; X = 0*1 - 1*(-2) = +2.
   EXPECT_NEAR(fs.field(Comp::Hyz).at(1, 0, 0).real(), 2.0, 1e-15);
   // Cell 0 untouched (only x in [1,2) updated).

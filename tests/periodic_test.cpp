@@ -1,5 +1,5 @@
 // Periodic-x boundary conditions (the paper's Sec. VI outlook, implemented
-// via peeled first/last x iterations).
+// by copying the wrapped-around partner cells into the one-cell x halo).
 #include <gtest/gtest.h>
 
 #include "em/coefficients.hpp"
@@ -137,7 +137,7 @@ TEST(PeriodicX, MwdMatchesReferenceUnderPeriodicBc) {
   exec::MwdParams p;
   p.dw = 3;
   p.bz = 2;
-  p.tx = 2;  // the x split must interact correctly with the peel
+  p.tx = 2;  // the x split must interact correctly with the ghost wrap
   p.tc = 3;
   p.num_tgs = 2;
   auto eng = exec::make_mwd_engine(p);
