@@ -11,7 +11,8 @@ Three independent gates over src/obs/:
 
   2. Daemon metrics: start emwdd, run a small sweep, scrape the metrics
      op through emwd-client --metrics, and assert the Prometheus text
-     parses, carries the expected emwd_* families, and agrees EXACTLY
+     parses, carries the expected emwd_* families (the status mirror, the
+     fault bridge and the process-wide registry), and agrees EXACTLY
      with the status document embedded in the same metrics reply (the
      one-snapshot identity), including the scheduler accounting identity.
 
@@ -160,9 +161,14 @@ def check_daemon_metrics(emwdd, client, socket, prefix):
         with open(f"{prefix}_metrics.prom", "w") as fh:
             fh.write(prom_text)
         samples = parse_prometheus(prom_text)
+        # The reply's own mirror of the status snapshot, the fault bridge
+        # (emwd_fault_armed) and the process-wide registry's metrics counted
+        # at their site (emwd_serve_request_seconds_count) all ride in one
+        # scrape.
         for family in ("emwd_sched_jobs_submitted", "emwd_sched_jobs_completed",
                        "emwd_queue_admitted", "emwd_serve_requests",
-                       "emwd_serve_results_streamed", "emwd_engine_steps"):
+                       "emwd_serve_results_streamed", "emwd_engine_steps",
+                       "emwd_fault_armed", "emwd_serve_request_seconds_count"):
             if family not in samples:
                 fail(f"prometheus text lacks {family}")
 

@@ -1,4 +1,4 @@
-// Ablation studies for the design choices DESIGN.md calls out:
+// Ablation studies of three design choices of the MWD engine:
 //
 //  A. tile scheduling — the paper's dynamic FIFO queue (Sec. II-A) vs a
 //     static wavefront-synchronous assignment (global barrier per wave);

@@ -1,11 +1,11 @@
 // Shared helpers for the figure-reproduction benches.
 //
-// Scaling scheme (see DESIGN.md Sec. 6): the paper runs up to 512^3 cells
-// (86 GB of state) against a 45 MiB LLC.  Eq. 11 is linear in Nx, so
-// shrinking the grid AND the simulated LLC by the same factor preserves
-// every fits/overflows relationship the experiments probe.  The benches run
-// at 1/SCALE linear size with the LLC scaled identically, and evaluate the
-// bottleneck performance model with the paper's bandwidth/core parameters.
+// Scaling scheme: the paper runs up to 512^3 cells (86 GB of state)
+// against a 45 MiB LLC.  Eq. 11 is linear in Nx, so shrinking the grid AND
+// the simulated LLC by the same factor preserves every fits/overflows
+// relationship the experiments probe.  The benches run at 1/SCALE linear
+// size with the LLC scaled identically, and evaluate the bottleneck
+// performance model with the paper's bandwidth/core parameters.
 #pragma once
 
 #include <cstdio>

@@ -36,7 +36,6 @@ class Hierarchy {
   std::uint64_t dram_write_bytes() const { return dram_write_bytes_; }
   std::uint64_t dram_total_bytes() const { return dram_read_bytes_ + dram_write_bytes_; }
 
-  std::size_t num_levels() const { return levels_.size(); }
   const Cache& level(std::size_t i) const { return levels_.at(i); }
 
   void reset_stats();

@@ -35,18 +35,7 @@ class WavefrontEngine final : public Engine {
 
   void run(grid::FieldSet& fs, int steps) override {
     stats_ = EngineStats{};
-    while (steps > 0) {
-      const int block = std::min(steps, steps_per_block_);
-      inner_->run(fs, block);
-      const EngineStats& s = inner_->stats();
-      accumulate_work(stats_, s);
-      stats_.seconds += s.seconds;
-      stats_.steps += s.steps;
-      steps -= block;
-    }
-    stats_.mlups = stats_.seconds > 0.0
-                       ? static_cast<double>(stats_.lups) / stats_.seconds / 1e6
-                       : 0.0;
+    run_segmented(*inner_, fs, steps, steps_per_block_, [](int) { return true; }, stats_);
   }
 
  private:

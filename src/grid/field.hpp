@@ -29,7 +29,6 @@ class Field {
   /// Raw interleaved storage; index in doubles is 2 * complex-cell index.
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
-  std::size_t size_complex() const { return data_.size() / 2; }
   std::size_t size_bytes() const { return data_.size() * sizeof(double); }
 
   std::complex<double> at(int i, int j, int k) const {

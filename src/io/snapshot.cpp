@@ -599,8 +599,7 @@ void SnapshotWriter::writer_loop() {
     }
     if (!err) {
       // Registry lookups re-resolve per write (no cached reference): a
-      // checkpoint write is file-I/O-bound, and tests may reset() the
-      // global registry between runs.
+      // checkpoint write is file-I/O-bound.
       obs::Registry& reg = obs::Registry::global();
       reg.counter("io.snapshots_written").inc();
       reg.counter("io.snapshot_bytes").add(bytes);

@@ -58,10 +58,11 @@ constexpr int axis_position(Axis axis, int i, int j, int k) {
 /// Index into the 12-entry tables.
 constexpr int idx(Comp c) { return static_cast<int>(c); }
 
-/// The canonical table (order matches the Comp enum).  Derivation of the
-/// diff_sign column: the discrete curl signs of the Yee/Berenger splitting;
-/// the two paper listings pin down two rows (Hyx: +1, Hzx: -1) and the rest
-/// follow from the curl structure (see DESIGN.md Sec. 2).
+/// The canonical table (order matches the Comp enum).  The diff_sign column
+/// is the sign of the partner's term in the curl that drives the component
+/// (curl E for Ĥ rows, curl H for Ê rows): (curl E)_y = dEx/dz - dEz/dx
+/// gives Hyx +1 and Hyz -1.  The two paper listings pin down Hyx (+1) and
+/// Hzx (-1).
 constexpr std::array<CompInfo, kNumComps> kComps{{
     // self   name    is_h  partner_a  partner_b  axis     shift ds  src flops
     {Comp::Exy, "Exy", false, Comp::Hyx, Comp::Hyz, Axis::Z, +1, -1, 0, 22},

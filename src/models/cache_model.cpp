@@ -1,11 +1,13 @@
 #include "models/cache_model.hpp"
 
+#include "tiling/wavefront.hpp"
+
 namespace emwd::models {
 
 double cache_block_bytes(int dw, int bz, int nx, double arrays) {
   const double area = dw * static_cast<double>(dw) / 2.0 +
                       static_cast<double>(dw) * (bz - 1);
-  const double halo = 12.0 * (dw + wavefront_width(dw, bz));
+  const double halo = 12.0 * (dw + tiling::wavefront_width(dw, bz));
   return 16.0 * nx * (arrays * area + halo);
 }
 

@@ -1,7 +1,7 @@
 // Cache block size model (paper Eq. 11).
 //
 //   Cs = 16 * Nx * [ 40 * (Dw^2/2 + Dw*(BZ-1)) + 12 * (Dw + Ww) ],
-//   Ww = Dw + BZ - 1.
+//   Ww = Dw + BZ - 1 (tiling::wavefront_width).
 //
 // Every point of the diamond-wavefront tile extends over the full x
 // dimension (16 bytes per double-complex cell); the paper's 40 arrays
@@ -20,9 +20,6 @@
 #include "models/code_balance.hpp"
 
 namespace emwd::models {
-
-/// Wavefront tile width Ww = Dw + BZ - 1 (paper Sec. III-C).
-constexpr int wavefront_width(int dw, int bz) { return dw + bz - 1; }
 
 /// Eq. 11 cache block size in bytes for one tile whose area streams
 /// `arrays` complex arrays.

@@ -45,8 +45,9 @@ constexpr double spatial_bytes_per_lup() { return 4.0 * (14 + 12 + 12) * 8.0; }
 /// components; amortized over the dw^2/2 LUPs of the diamond.
 double diamond_bytes_per_lup(int dw, double arrays = kPaperArrays);
 
-/// Same counting adapted to this implementation's exact tile geometry
-/// (both Ê and Ĥ footprints span dw y-columns; see DESIGN.md Sec. 3).
+/// Same counting adapted to this implementation's exact tile geometry: both
+/// Ê and Ĥ footprints span dw y-columns, so a tile writes 12*dw complex
+/// numbers per x-z cell where Eq. 12 counts 6*(2*dw - 1).
 double diamond_bytes_per_lup_exact(int dw);
 
 /// Arithmetic intensity in flops/byte for a given code balance.

@@ -21,10 +21,6 @@ PerfPrediction predict(const Machine& m, int threads, double bytes_per_lup, bool
   return out;
 }
 
-void calibrate_pcore(Machine& m, double measured_mlups_1thread) {
-  if (measured_mlups_1thread > 0.0) m.pcore_mlups = measured_mlups_1thread;
-}
-
 double degraded_bytes_per_lup(double ideal_bpl, double overflow) {
   if (overflow <= 1.0) return ideal_bpl;
   // Past the usable cache size, in-tile reuse is progressively lost; blend

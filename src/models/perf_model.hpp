@@ -28,9 +28,6 @@ double parallel_efficiency(int threads, double sync_drag);
 PerfPrediction predict(const Machine& m, int threads, double bytes_per_lup,
                        bool tiled = false);
 
-/// Calibrate pcore_mlups from a measured single-thread in-cache run.
-void calibrate_pcore(Machine& m, double measured_mlups_1thread);
-
 /// Effective code balance for 1WD/MWD when the per-group tile does NOT fit
 /// the usable cache: traffic degrades toward the spatial-blocking balance as
 /// the overflow factor grows (capacity misses).  `overflow` = required

@@ -1,8 +1,9 @@
 // Scrape-time bridges: mirror authoritative counters owned by other
-// subsystems into an obs::Registry so one exporter pass (to_json /
-// to_prometheus) covers them.  Bridges use Counter::set — they overwrite
-// with the owner's snapshot rather than double-counting — and are called
-// immediately before export (the daemon's metrics op, obs_test).
+// subsystems into an obs::Registry so one to_prometheus() pass covers
+// them.  Bridges use Counter::set — they overwrite with the owner's
+// snapshot rather than double-counting — and are called immediately before
+// export (the daemon's metrics op, into a registry of that reply's own;
+// obs_test).
 #pragma once
 
 namespace emwd::obs {

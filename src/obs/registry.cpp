@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/json.hpp"
-
 namespace emwd::obs {
 
 Histogram::Histogram(std::vector<double> bounds)
@@ -64,10 +62,6 @@ std::string prometheus_name(const std::string& name) {
   return out;
 }
 
-std::string json_key(const std::string& name, const std::string& labels) {
-  return labels.empty() ? name : name + '{' + labels + '}';
-}
-
 void append_double(std::string& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -84,21 +78,16 @@ void append_int(std::string& out, std::int64_t v) {
 
 struct Registry::Impl {
   mutable std::mutex mu;
-  /// Keyed (name, labels); std::map so both exporters emit in sorted
+  /// Keyed (name, labels); std::map so the exporter emits in sorted
   /// order and a name's label series stay contiguous for # TYPE lines.
   std::map<std::pair<std::string, std::string>, Metric> metrics;
 };
 
-Registry::Impl* Registry::impl() {
-  if (impl_ == nullptr) impl_ = new Impl();
-  return impl_;
-}
+// Built with the registry, not on first use: the process-wide registry's
+// first users may be concurrent session threads.
+Registry::Registry() : impl_(std::make_unique<Impl>()) {}
 
-const Registry::Impl* Registry::impl() const {
-  return const_cast<Registry*>(this)->impl();
-}
-
-Registry::~Registry() { delete impl_; }
+Registry::~Registry() = default;
 
 Registry& Registry::global() {
   static Registry* r = new Registry();  // leaked: references never dangle
@@ -106,7 +95,7 @@ Registry& Registry::global() {
 }
 
 Counter& Registry::counter(const std::string& name, const std::string& labels) {
-  Impl& im = *impl();
+  Impl& im = *impl_;
   std::lock_guard<std::mutex> lock(im.mu);
   Metric& m = im.metrics[{name, labels}];
   if (m.counter == nullptr) {
@@ -120,7 +109,7 @@ Counter& Registry::counter(const std::string& name, const std::string& labels) {
 }
 
 Gauge& Registry::gauge(const std::string& name, const std::string& labels) {
-  Impl& im = *impl();
+  Impl& im = *impl_;
   std::lock_guard<std::mutex> lock(im.mu);
   Metric& m = im.metrics[{name, labels}];
   if (m.gauge == nullptr) {
@@ -135,12 +124,12 @@ Gauge& Registry::gauge(const std::string& name, const std::string& labels) {
 
 Histogram& Registry::histogram(const std::string& name, std::vector<double> bounds,
                                const std::string& labels) {
-  Impl& im = *impl();
+  Impl& im = *impl_;
   std::lock_guard<std::mutex> lock(im.mu);
   const auto it = im.metrics.find({name, labels});
   if (it == im.metrics.end()) {
     // Construct before touching the map: the ascending-bounds check may
-    // throw, and a half-registered entry would crash the exporters.
+    // throw, and a half-registered entry would crash the exporter.
     Metric m;
     m.kind = Kind::Histogram;
     m.histogram = std::make_unique<Histogram>(std::move(bounds));
@@ -157,58 +146,8 @@ Histogram& Registry::histogram(const std::string& name, std::vector<double> boun
   return *m.histogram;
 }
 
-std::string Registry::to_json() const {
-  const Impl& im = *impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  std::string counters, gauges, histograms;
-  for (const auto& [key, m] : im.metrics) {
-    const std::string jkey = util::json_quote(json_key(key.first, key.second));
-    switch (m.kind) {
-      case Kind::Counter:
-        if (!counters.empty()) counters += ',';
-        counters += jkey;
-        counters += ':';
-        append_int(counters, m.counter->value());
-        break;
-      case Kind::Gauge:
-        if (!gauges.empty()) gauges += ',';
-        gauges += jkey;
-        gauges += ':';
-        append_double(gauges, m.gauge->value());
-        break;
-      case Kind::Histogram: {
-        if (!histograms.empty()) histograms += ',';
-        histograms += jkey;
-        histograms += ":{\"buckets\":[";
-        const std::vector<std::int64_t> counts = m.histogram->bucket_counts();
-        const std::vector<double>& bounds = m.histogram->bounds();
-        for (std::size_t b = 0; b < counts.size(); ++b) {
-          if (b != 0) histograms += ',';
-          histograms += "{\"le\":";
-          if (b < bounds.size()) {
-            append_double(histograms, bounds[b]);
-          } else {
-            histograms += "\"+Inf\"";
-          }
-          histograms += ",\"count\":";
-          append_int(histograms, counts[b]);
-          histograms += '}';
-        }
-        histograms += "],\"sum\":";
-        append_double(histograms, m.histogram->sum());
-        histograms += ",\"count\":";
-        append_int(histograms, m.histogram->count());
-        histograms += '}';
-        break;
-      }
-    }
-  }
-  return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-         "},\"histograms\":{" + histograms + "}}";
-}
-
 std::string Registry::to_prometheus() const {
-  const Impl& im = *impl();
+  const Impl& im = *impl_;
   std::lock_guard<std::mutex> lock(im.mu);
   std::string out;
   std::string last_name;
@@ -271,12 +210,6 @@ std::string Registry::to_prometheus() const {
     }
   }
   return out;
-}
-
-void Registry::reset() {
-  Impl& im = *impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  im.metrics.clear();
 }
 
 }  // namespace emwd::obs

@@ -1,11 +1,12 @@
-// obs::Registry — process-wide named metrics with lock-light updates and
-// two exporters (canonical JSON + Prometheus text exposition).
+// obs::Registry — named metrics with lock-light updates and a Prometheus
+// text exporter.  One process-wide instance holds the metrics counted where
+// they happen; the daemon's metrics op mirrors its status into a local one.
 //
 // Three metric kinds:
 //   * Counter   — monotonic int64.  add()/inc() on the hot path are one
 //                 relaxed fetch_add; set() exists for scrape-time bridges
 //                 that mirror an authoritative snapshot (the daemon's
-//                 status counters, fault::stats()) into the registry.
+//                 status counters, fault::stats()) into a registry.
 //   * Gauge     — last-written double (relaxed store).
 //   * Histogram — fixed upper-bound buckets fixed at registration;
 //                 observe() is a linear probe + one relaxed fetch_add
@@ -13,19 +14,20 @@
 //
 // Identity is (name, labels): `labels` is a pre-rendered Prometheus
 // label body like `point="engine.step"` (empty = none).  Registration
-// takes a mutex once; the returned reference is stable for the process
-// lifetime (metrics are never destroyed — the fault-registry leak
-// pattern), so hot paths cache it and update lock-free.  Every metric
+// takes a mutex once; the returned reference is stable for the registry's
+// lifetime (the process-wide one is never destroyed — the fault-registry
+// leak pattern), so hot paths cache it and update lock-free.  Every metric
 // value lives on its own cache line: concurrent updaters never false-
 // share.
 //
 // Naming convention (src/obs/README.md): dotted lower-case
-// `subsystem.metric` in code ("sched.jobs_submitted"); exporters emit
+// `subsystem.metric` in code ("sched.jobs_submitted"); the exporter emits
 // `emwd_` + dots-to-underscores ("emwd_sched_jobs_submitted").
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,11 +54,6 @@ class Counter {
 class Gauge {
  public:
   void set(double x) noexcept { v_.store(x, std::memory_order_relaxed); }
-  void add(double x) noexcept {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
-    }
-  }
   double value() const noexcept { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -86,10 +83,11 @@ class Histogram {
 
 class Registry {
  public:
-  /// The process-wide instance every producer and exporter shares.
+  /// The process-wide instance: the metrics counted where they happen
+  /// (serve.request_seconds, io.*).
   static Registry& global();
 
-  Registry() = default;
+  Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
   ~Registry();
@@ -104,23 +102,14 @@ class Registry {
   Histogram& histogram(const std::string& name, std::vector<double> bounds,
                        const std::string& labels = "");
 
-  /// Canonical JSON: {"counters":{...},"gauges":{...},"histograms":{...}}
-  /// with "name{labels}" keys, sorted (registration is map-ordered).
-  std::string to_json() const;
-
   /// Prometheus text exposition: one # TYPE line per metric name, then
   /// `emwd_<name>{labels} value` samples; histograms expand to
   /// cumulative `_bucket{le=...}` + `_sum` + `_count`.
   std::string to_prometheus() const;
 
-  /// Drop every metric (invalidates outstanding references) — tests only.
-  void reset();
-
  private:
   struct Impl;
-  Impl* impl();
-  const Impl* impl() const;
-  mutable Impl* impl_ = nullptr;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace emwd::obs

@@ -131,7 +131,7 @@ void Server::stop() {
   }
 }
 
-Server::StatusSnapshot Server::collect_status() const {
+StatusSnapshot Server::collect_status() const {
   StatusSnapshot snap;
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
@@ -149,9 +149,9 @@ Server::StatusSnapshot Server::collect_status() const {
       ClientStats c;
       c.id = id;
       c.results = session->results_streamed.load();
-      c.failed_transient = session->failed_transient.load();
-      c.failed_permanent = session->failed_permanent.load();
-      c.failed_deadline = session->failed_deadline.load();
+      for (std::size_t k = 0; k < c.failed.size(); ++k) {
+        c.failed[k] = session->failed[k].load();
+      }
       snap.server.clients.push_back(c);
     }
   }
@@ -161,22 +161,22 @@ Server::StatusSnapshot Server::collect_status() const {
   return snap;
 }
 
-std::string Server::status_json() const {
-  const StatusSnapshot snap = collect_status();
-  return metrics_to_json(snap.server, snap.queue, snap.scheduler, snap.tables_version);
-}
+std::string Server::status_json() const { return status_to_json(collect_status()); }
 
 std::string Server::metrics_json() const {
   // One snapshot feeds BOTH renderings: any counter present in the status
   // JSON and the Prometheus text reports the identical value in this frame.
+  // The mirror is this reply's own, so a concurrent scrape cannot overwrite
+  // it between fill and render.
   const StatusSnapshot snap = collect_status();
-  obs::Registry& reg = obs::Registry::global();
-  fill_registry(reg, snap.server, snap.queue, snap.scheduler, snap.tables_version);
-  obs::bridge_fault_counters(reg);
-  return "{\"type\":\"metrics\",\"status\":" +
-         metrics_to_json(snap.server, snap.queue, snap.scheduler,
-                         snap.tables_version) +
-         ",\"prometheus\":" + util::json_quote(reg.to_prometheus()) + '}';
+  obs::Registry mirror;
+  fill_registry(mirror, snap);
+  obs::bridge_fault_counters(mirror);
+  return "{\"type\":\"metrics\",\"status\":" + status_to_json(snap) +
+         ",\"prometheus\":" +
+         util::json_quote(mirror.to_prometheus() +
+                          obs::Registry::global().to_prometheus()) +
+         '}';
 }
 
 void Server::accept_loop() {
@@ -540,29 +540,15 @@ void Server::send_to(const std::shared_ptr<Session>& session,
 void Server::stream_result(const std::shared_ptr<Session>& session,
                            const std::string& request_id, std::uint64_t request,
                            std::size_t index, const batch::JobResult& r) {
+  const bool failed = !r.ok && !r.cancelled;
+  const FailureClass cls = failed ? failure_class(r.error_class) : kTransient;
   {
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++metrics_.results_streamed;
-    if (!r.ok && !r.cancelled) {
-      if (r.error_class == "deadline") {
-        ++metrics_.job_failures_deadline;
-      } else if (r.error_class == "permanent") {
-        ++metrics_.job_failures_permanent;
-      } else {
-        ++metrics_.job_failures_transient;
-      }
-    }
+    if (failed) ++metrics_.job_failures[cls];
   }
   session->results_streamed.fetch_add(1);
-  if (!r.ok && !r.cancelled) {
-    if (r.error_class == "deadline") {
-      session->failed_deadline.fetch_add(1);
-    } else if (r.error_class == "permanent") {
-      session->failed_permanent.fetch_add(1);
-    } else {
-      session->failed_transient.fetch_add(1);
-    }
-  }
+  if (failed) session->failed[cls].fetch_add(1);
   send_to(session, make_result(request_id, index, r));
   account_request(session, request_id, request, 1, 1);
 }

@@ -23,6 +23,7 @@
 // destructor calls them.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -92,20 +93,16 @@ class Server {
 
   /// The Metrics payload: {"type":"metrics","status":{...},
   /// "prometheus":"..."}.  Status JSON and Prometheus text are rendered
-  /// from ONE collect_status() snapshot (plus the fault-injection bridge),
-  /// so every counter present in both agrees exactly — serve_test and the
-  /// CI obs smoke assert that identity under load.
+  /// from ONE collect_status() snapshot, mirrored with the fault-injection
+  /// bridge into a registry of this reply's own, so every counter present
+  /// in both agrees exactly even under concurrent scrapes — serve_test and
+  /// the CI obs smoke assert that identity under load.  The process-wide
+  /// registry's text (metrics counted where they happen) follows.
   std::string metrics_json() const;
 
  private:
   /// One lock-consistent pass over the daemon's three stats sources (the
   /// shared source for status_json and metrics_json).
-  struct StatusSnapshot {
-    Metrics server;
-    FairShareQueue::Stats queue;
-    batch::BatchStats scheduler;
-    std::uint64_t tables_version = 0;
-  };
   StatusSnapshot collect_status() const;
   /// Per-connection state shared between the session thread and result
   /// sinks (which run on scheduler executor threads and may outlive the
@@ -121,12 +118,10 @@ class Server {
     // exit path (queue cancel, result streaming) ahead of it.
     std::atomic<bool> finished{false};
     std::thread thread;
-    // Failure counters surfaced per-client in the Status payload; updated
-    // from executor threads (stream_result), read by status_json.
+    // Counters surfaced per client in the Status payload (ClientStats);
+    // updated from executor threads (stream_result), read by collect_status.
     std::atomic<std::uint64_t> results_streamed{0};
-    std::atomic<std::uint64_t> failed_transient{0};
-    std::atomic<std::uint64_t> failed_permanent{0};
-    std::atomic<std::uint64_t> failed_deadline{0};
+    std::array<std::atomic<std::uint64_t>, kFailureClasses.size()> failed{};
     // Per-request delivery accounting; the delivery that takes `remaining`
     // to zero sends the `done` frame.  Guarded by state_mu (never held
     // while sending — send_to takes write_mu).

@@ -41,8 +41,6 @@ class SpinBarrier {
     }
   }
 
-  int participants() const noexcept { return participants_; }
-
  private:
   const int participants_;
   std::atomic<int> remaining_;

@@ -207,17 +207,14 @@ TEST(Registry, CountersGaugesAndIdentity) {
 
   obs::Gauge& g = reg.gauge("test.depth");
   g.set(2.5);
-  g.add(0.5);
+  EXPECT_EQ(g.value(), 2.5);
+  g.set(3.0);  // last write wins
   EXPECT_EQ(g.value(), 3.0);
 
-  const util::JsonValue doc = util::JsonValue::parse(reg.to_json());
-  const util::JsonValue* counters = doc.find("counters");
-  ASSERT_NE(counters, nullptr);
-  EXPECT_EQ(counters->get_int("test.requests", -1), 5);
-  EXPECT_EQ(counters->get_int("test.requests{kind=\"slow\"}", -1), 9);
-  const util::JsonValue* gauges = doc.find("gauges");
-  ASSERT_NE(gauges, nullptr);
-  EXPECT_EQ(gauges->get_double("test.depth", 0.0), 3.0);
+  const std::string text = reg.to_prometheus();
+  EXPECT_NE(text.find("\nemwd_test_requests 5\n"), std::string::npos);
+  EXPECT_NE(text.find("\nemwd_test_requests{kind=\"slow\"} 9\n"), std::string::npos);
+  EXPECT_NE(text.find("\nemwd_test_depth 3\n"), std::string::npos);
 }
 
 TEST(Registry, HistogramBucketsAndExposition) {
@@ -267,7 +264,7 @@ TEST(Registry, RegistrationConflictsThrow) {
 }
 
 // TSan gate: concurrent updaters on shared and distinct metrics plus a
-// scraping thread rendering both exports.
+// thread scraping the Prometheus text.
 TEST(Registry, ConcurrentUpdatesAndScrapesAreRaceFree) {
   obs::Registry reg;
   obs::Counter& shared = reg.counter("test.shared");
@@ -283,10 +280,7 @@ TEST(Registry, ConcurrentUpdatesAndScrapesAreRaceFree) {
       }
     });
   }
-  for (int i = 0; i < 20; ++i) {
-    (void)reg.to_json();
-    (void)reg.to_prometheus();
-  }
+  for (int i = 0; i < 20; ++i) (void)reg.to_prometheus();
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(reg.counter("test.shared").value(), 4 * 5000);
   EXPECT_EQ(reg.histogram("test.obs", {0.5, 1.5}).count(), 4 * 5000);

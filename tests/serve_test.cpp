@@ -5,11 +5,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -19,8 +21,10 @@
 
 #include "batch/sweep.hpp"
 #include "fault/inject.hpp"
+#include "obs/registry.hpp"
 #include "thiim/simulation.hpp"
 #include "serve/fair_share.hpp"
+#include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/tables.hpp"
@@ -516,6 +520,236 @@ std::map<std::string, double> parse_prometheus(const std::string& text) {
   return out;
 }
 
+/// The member of `doc` at a dotted status path ("scheduler.pool.engine_hits").
+const JsonValue* at_path(const JsonValue& doc, const std::string& path) {
+  const JsonValue* v = &doc;
+  for (std::size_t begin = 0;;) {
+    const std::size_t dot = path.find('.', begin);
+    v = v->find(path.substr(begin, dot - begin));
+    if (v == nullptr || dot == std::string::npos) return v;
+    begin = dot + 1;
+  }
+}
+
+/// One metrics reply's Prometheus samples against its own embedded status:
+/// every mirrored field of serve::status_fields plus the engine.* series of
+/// scheduler.engine.  Lists the series that disagree or are missing.
+struct MirrorCheck {
+  std::size_t mirrored = 0;  // status_fields rows walked
+  std::vector<std::string> mismatches;
+};
+MirrorCheck check_mirror(const JsonValue& reply) {
+  MirrorCheck out;
+  const JsonValue* status = reply.find("status");
+  if (status == nullptr) {
+    out.mismatches.push_back("reply without status");
+    return out;
+  }
+  const std::map<std::string, double> prom =
+      parse_prometheus(reply.get_string("prometheus", ""));
+  const auto compare = [&](const std::string& metric, const std::string& labels,
+                           const JsonValue* value) {
+    std::string key = "emwd_" + metric;
+    std::replace(key.begin(), key.end(), '.', '_');
+    if (!labels.empty()) key += '{' + labels + '}';
+    const auto it = prom.find(key);
+    if (value == nullptr || it == prom.end() || it->second != value->as_number()) {
+      out.mismatches.push_back(key);
+    }
+  };
+  for (const serve::StatusField& f : serve::status_fields({})) {
+    if (f.metric == nullptr) continue;
+    ++out.mirrored;
+    compare(f.metric, f.labels, at_path(*status, f.path));
+  }
+  const JsonValue* engine = at_path(*status, "scheduler.engine");
+  for (const char* name : {"steps", "lups", "tiles_executed", "halo_bytes_moved", "seconds",
+                           "mlups", "halo_exposed_seconds"}) {
+    compare(std::string("engine.") + name, "", engine ? engine->find(name) : nullptr);
+  }
+  return out;
+}
+
+TEST(ServeStatus, FixedSnapshotRendersThePinnedDocumentAndSeries) {
+  // The expected texts pin the wire format: keys, their order, series names
+  // and kinds.  Every field is distinct, so a value under the wrong key shows.
+  serve::StatusSnapshot s;
+  serve::Metrics& m = s.server;
+  m.connections_total = 1;
+  m.connections_active = 2;
+  m.requests = 3;
+  m.protocol_errors = 4;
+  m.results_streamed = 5;
+  m.reloads = 6;
+  m.inflight = 7;
+  m.preempt_requests = 8;
+  m.auto_preemptions = 9;
+  m.job_failures = {10, 11, 12};
+  m.clients = {{13, 14, {15, 16, 17}}, {18, 19, {20, 21, 22}}};
+  serve::FairShareQueue::Stats& q = s.queue;
+  q.admitted = 23;
+  q.rejected_queue_full = 24;
+  q.rejected_client_full = 25;
+  q.dispatched = 26;
+  q.cancelled = 27;
+  q.pending = 28;
+  q.clients = 29;
+  batch::BatchStats& b = s.scheduler;
+  b.submitted = 30;
+  b.completed = 31;
+  b.failed = 32;
+  b.cancelled = 33;
+  b.queued = 34;
+  b.running = 35;
+  b.queue_depth = {{-1, 36}, {2, 37}};
+  b.preempted = 38;
+  b.resumed = 39;
+  b.snapshots_written = 40;
+  b.snapshot_bytes = 41;
+  b.retries = 42;
+  b.quarantined = 43;
+  b.pool = {44, 45, 46, 47, 48, 49, 50, 51};
+  b.plans = {52, 53};
+  b.slots = 54;
+  b.executors = 55;
+  exec::EngineStats& e = b.engine;
+  e.seconds = 0.75;
+  e.steps = 56;
+  e.lups = 57;
+  e.mlups = 0.25;
+  e.tiles_executed = 58;
+  e.barrier_episodes = 59;
+  e.queue_wait_seconds = 0.125;
+  e.barrier_wait_seconds = 0.0625;
+  e.shards = 60;
+  e.halo_exchange_seconds = 1.5;
+  e.halo_bytes_moved = 61;
+  e.halo_wait_seconds = 2.5;
+  e.halo_hidden_seconds = 0.5;
+  e.halo_staged_bytes = 63;
+  e.halo_unstaged_bytes = 64;
+  e.halo_stage_seconds = 0.03125;
+  e.halo_unstage_seconds = 0.015625;
+  e.halo_transport = "shm";
+  e.kernel_isa = "avx2";
+  s.tables_version = 62;
+
+  EXPECT_EQ(
+      serve::status_to_json(s),
+      R"({"type":"status","server":{"connections_total":1,)"
+      R"("connections_active":2,"requests":3,"protocol_errors":4,)"
+      R"("results_streamed":5,"reloads":6,"inflight":7,"preempt_requests":8,)"
+      R"("auto_preemptions":9,"job_failures":{"transient":10,"permanent":11,)"
+      R"("deadline":12},"clients":[{"id":13,"results":14,"failed_transient":15,)"
+      R"("failed_permanent":16,"failed_deadline":17},{"id":18,"results":19,)"
+      R"("failed_transient":20,"failed_permanent":21,"failed_deadline":22}]},)"
+      R"("queue":{"admitted":23,"rejected_queue_full":24,)"
+      R"("rejected_client_full":25,"dispatched":26,"cancelled":27,"pending":28,)"
+      R"("clients":29},"scheduler":{"submitted":30,"completed":31,"failed":32,)"
+      R"("cancelled":33,"queued":34,"running":35,"preempted":38,"resumed":39,)"
+      R"("snapshots_written":40,"snapshot_bytes":41,"retries":42,)"
+      R"("quarantined":43,"queue_depth":{"-1":36,"2":37},"slots":54,)"
+      R"("executors":55,"pool":{"engine_hits":44,"engine_builds":45,)"
+      R"("fields_hits":46,"fields_builds":47,"engine_evictions":48,)"
+      R"("fields_evictions":49,"idle_engines":50,"idle_fields":51},)"
+      R"("plans":{"hits":52,"misses":53},"engine":{"seconds":0.75,"steps":56,)"
+      R"("lups":57,"mlups":0.25,"tiles_executed":58,"barrier_episodes":59,)"
+      R"("queue_wait_seconds":0.125,"barrier_wait_seconds":0.0625,"shards":60,)"
+      R"("halo_exchange_seconds":1.5,"halo_bytes_moved":61,)"
+      R"("halo_wait_seconds":2.5,"halo_hidden_seconds":0.5,)"
+      R"("halo_exposed_seconds":3.5,"halo_staged_bytes":63,)"
+      R"("halo_unstaged_bytes":64,"halo_stage_seconds":0.03125,)"
+      R"("halo_unstage_seconds":0.015625,"halo_transport":"shm",)"
+      R"("kernel_isa":"avx2"}},"tables_version":62})");
+
+  obs::Registry reg;
+  serve::fill_registry(reg, s);
+  EXPECT_EQ(reg.to_prometheus(), R"(# TYPE emwd_engine_halo_bytes_moved counter
+emwd_engine_halo_bytes_moved 61
+# TYPE emwd_engine_halo_exposed_seconds gauge
+emwd_engine_halo_exposed_seconds 3.5
+# TYPE emwd_engine_lups counter
+emwd_engine_lups 57
+# TYPE emwd_engine_mlups gauge
+emwd_engine_mlups 0.25
+# TYPE emwd_engine_seconds gauge
+emwd_engine_seconds 0.75
+# TYPE emwd_engine_steps counter
+emwd_engine_steps 56
+# TYPE emwd_engine_tiles_executed counter
+emwd_engine_tiles_executed 58
+# TYPE emwd_queue_admitted counter
+emwd_queue_admitted 23
+# TYPE emwd_queue_cancelled counter
+emwd_queue_cancelled 27
+# TYPE emwd_queue_clients gauge
+emwd_queue_clients 29
+# TYPE emwd_queue_dispatched counter
+emwd_queue_dispatched 26
+# TYPE emwd_queue_pending gauge
+emwd_queue_pending 28
+# TYPE emwd_queue_rejected counter
+emwd_queue_rejected{reason="client_full"} 25
+emwd_queue_rejected{reason="queue_full"} 24
+# TYPE emwd_sched_jobs_cancelled counter
+emwd_sched_jobs_cancelled 33
+# TYPE emwd_sched_jobs_completed counter
+emwd_sched_jobs_completed 31
+# TYPE emwd_sched_jobs_failed counter
+emwd_sched_jobs_failed 32
+# TYPE emwd_sched_jobs_queued gauge
+emwd_sched_jobs_queued 34
+# TYPE emwd_sched_jobs_running gauge
+emwd_sched_jobs_running 35
+# TYPE emwd_sched_jobs_submitted counter
+emwd_sched_jobs_submitted 30
+# TYPE emwd_sched_plan_cache_hits counter
+emwd_sched_plan_cache_hits 52
+# TYPE emwd_sched_plan_cache_misses counter
+emwd_sched_plan_cache_misses 53
+# TYPE emwd_sched_pool_engine_builds counter
+emwd_sched_pool_engine_builds 45
+# TYPE emwd_sched_pool_engine_hits counter
+emwd_sched_pool_engine_hits 44
+# TYPE emwd_sched_preempted counter
+emwd_sched_preempted 38
+# TYPE emwd_sched_quarantined counter
+emwd_sched_quarantined 43
+# TYPE emwd_sched_resumed counter
+emwd_sched_resumed 39
+# TYPE emwd_sched_retries counter
+emwd_sched_retries 42
+# TYPE emwd_sched_snapshot_bytes counter
+emwd_sched_snapshot_bytes 41
+# TYPE emwd_sched_snapshots_written counter
+emwd_sched_snapshots_written 40
+# TYPE emwd_serve_auto_preemptions counter
+emwd_serve_auto_preemptions 9
+# TYPE emwd_serve_connections_active gauge
+emwd_serve_connections_active 2
+# TYPE emwd_serve_connections_total counter
+emwd_serve_connections_total 1
+# TYPE emwd_serve_inflight gauge
+emwd_serve_inflight 7
+# TYPE emwd_serve_job_failures counter
+emwd_serve_job_failures{class="deadline"} 12
+emwd_serve_job_failures{class="permanent"} 11
+emwd_serve_job_failures{class="transient"} 10
+# TYPE emwd_serve_preempt_requests counter
+emwd_serve_preempt_requests 8
+# TYPE emwd_serve_protocol_errors counter
+emwd_serve_protocol_errors 4
+# TYPE emwd_serve_reloads counter
+emwd_serve_reloads 6
+# TYPE emwd_serve_requests counter
+emwd_serve_requests 3
+# TYPE emwd_serve_results_streamed counter
+emwd_serve_results_streamed 5
+# TYPE emwd_serve_tables_version gauge
+emwd_serve_tables_version 62
+)");
+}
+
 TEST(ServeEndToEnd, MetricsOpMatchesStatusFromOneSnapshot) {
   const std::string path = test_socket_path("metrics");
   serve::ServerConfig cfg = small_server(path);
@@ -525,48 +759,28 @@ TEST(ServeEndToEnd, MetricsOpMatchesStatusFromOneSnapshot) {
   // gauges are live, so any two-pass collection would race and disagree.
   GatedServer gated(path, cfg);
 
+  // A metric counted where it happens lives in the process-wide registry,
+  // whose text follows the reply's own mirror.
+  obs::Registry::global().counter("test.serve.counted_at_site").inc();
   Client client(path);
   Client second(path);
   (void)second;  // a second connection so connections_active > 1
   client.send("{\"op\":\"metrics\"}");
   const JsonValue metrics = client.recv();
   EXPECT_EQ(metrics.get_string("type", ""), "metrics");
-  const JsonValue* status = metrics.find("status");
-  ASSERT_NE(status, nullptr);
   const std::map<std::string, double> prom =
       parse_prometheus(metrics.get_string("prometheus", ""));
   ASSERT_FALSE(prom.empty());
 
-  // Every counter present in both renderings agrees exactly: they were
-  // filled from the ONE collect_status() snapshot behind this reply.
-  const JsonValue* sched = status->find("scheduler");
-  const JsonValue* queue = status->find("queue");
-  const JsonValue* server = status->find("server");
-  ASSERT_NE(sched, nullptr);
-  ASSERT_NE(queue, nullptr);
-  ASSERT_NE(server, nullptr);
-  const auto sample = [&prom](const std::string& key) {
-    const auto it = prom.find(key);
-    if (it == prom.end()) {
-      ADD_FAILURE() << "prometheus text lacks " << key;
-      return -1.0;
-    }
-    return it->second;
-  };
-  EXPECT_EQ(sample("emwd_sched_jobs_submitted"), sched->get_int("submitted", -1));
-  EXPECT_EQ(sample("emwd_sched_jobs_completed"), sched->get_int("completed", -1));
-  EXPECT_EQ(sample("emwd_sched_jobs_running"), sched->get_int("running", -1));
-  EXPECT_EQ(sample("emwd_sched_jobs_queued"), sched->get_int("queued", -1));
-  EXPECT_EQ(sample("emwd_queue_admitted"), queue->get_int("admitted", -1));
-  EXPECT_EQ(sample("emwd_queue_dispatched"), queue->get_int("dispatched", -1));
-  EXPECT_EQ(sample("emwd_serve_requests"), server->get_int("requests", -1));
-  EXPECT_EQ(sample("emwd_serve_connections_active"),
-            server->get_int("connections_active", -1));
-  EXPECT_EQ(sample("emwd_serve_results_streamed"),
-            server->get_int("results_streamed", -1));
-  EXPECT_EQ(sample("emwd_serve_tables_version"),
-            status->get_int("tables_version", -1));
+  // Every mirrored field agrees exactly with the status in the same reply:
+  // both were rendered from the ONE collect_status() snapshot behind it.
+  const MirrorCheck check = check_mirror(metrics);
+  EXPECT_GE(check.mirrored, 36u);
+  EXPECT_TRUE(check.mismatches.empty()) << check.mismatches.front();
+  EXPECT_EQ(prom.count("emwd_fault_armed"), 1u);  // the fault bridge
+  EXPECT_EQ(prom.count("emwd_test_serve_counted_at_site"), 1u);
   // The gate job is mid-flight, so the identity has live terms in it.
+  const auto sample = [&prom](const char* key) { return prom.at(key); };
   EXPECT_GE(sample("emwd_sched_jobs_running"), 1.0);
   EXPECT_EQ(sample("emwd_sched_jobs_queued") + sample("emwd_sched_jobs_running") +
                 sample("emwd_sched_jobs_completed") + sample("emwd_sched_jobs_failed") +
@@ -576,6 +790,36 @@ TEST(ServeEndToEnd, MetricsOpMatchesStatusFromOneSnapshot) {
   const Client::SweepOutcome gate = gated.finish_gate();
   EXPECT_EQ(gate.results.size(), 1u);
   gated.server().stop();
+}
+
+TEST(ServeEndToEnd, ConcurrentMetricsScrapesEachMatchTheirOwnStatus) {
+  // Two clients scrape at once.  Each reply mirrors its snapshot into a
+  // registry of its own, so every reply's samples equal its own embedded
+  // status; a registry shared across scrapes lets one scrape's values
+  // overwrite the other's between fill and render.
+  const std::string path = test_socket_path("scrapes");
+  serve::Server server(small_server(path));
+  constexpr int kScrapes = 500;
+  std::atomic<int> bad_replies{0};
+  std::mutex first_mu;
+  std::string first_mismatch;
+  std::vector<std::thread> scrapers;
+  for (int c = 0; c < 2; ++c) {
+    scrapers.emplace_back([&] {
+      Client client(path);
+      for (int i = 0; i < kScrapes; ++i) {
+        client.send("{\"op\":\"metrics\"}");
+        const MirrorCheck check = check_mirror(client.recv());
+        if (check.mismatches.empty()) continue;
+        ++bad_replies;
+        std::lock_guard<std::mutex> lock(first_mu);
+        if (first_mismatch.empty()) first_mismatch = check.mismatches.front();
+      }
+    });
+  }
+  for (std::thread& t : scrapers) t.join();
+  EXPECT_EQ(bad_replies.load(), 0) << "first mismatched series: " << first_mismatch;
+  server.stop();
 }
 
 TEST(ServeEndToEnd, AdmissionBoundRejectsExplicitlyAndStillCompletes) {

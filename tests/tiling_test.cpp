@@ -235,7 +235,7 @@ TEST(Wavefront, WindowsPartitionZ) {
 }
 
 TEST(Wavefront, WwFormulaMatchesPaper) {
-  // Paper Fig. 4: Dw = 4, BZ = 4 -> Ww = 7.
+  // Paper Fig. 4 and the Eq. 11 example of Sec. III-C: Dw = 4, BZ = 4 -> Ww = 7.
   EXPECT_EQ(wavefront_width(4, 4), 7);
   EXPECT_EQ(wavefront_width(4, 1), 4);
   EXPECT_EQ(wavefront_width(8, 6), 13);
