@@ -93,9 +93,9 @@ def gate_bench_overhead(args):
     of 1/10 of the run, then gate two numbers:
 
       * capture stall / checkpointed wall < --max-capture-pct (strict):
-        the engine-side cost of snapshotting — the memcpy into the staging
-        buffer plus any wait for a free buffer.  This is what double
-        buffering is supposed to keep tiny, on any host.
+        the engine-side cost of snapshotting — the parallel copy into a
+        staging buffer plus any wait for a free one.  One staging buffer
+        plus one on demand is supposed to keep this tiny, on any host.
       * total wall overhead < --max-overhead-pct (lenient): also includes
         the background serialize+write thread competing for cores — near
         zero with a spare core, but on 1-2 vCPU runners the writer's CPU

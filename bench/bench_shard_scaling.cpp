@@ -255,6 +255,8 @@ int main(int argc, char** argv) {
         ckpt_totals.capture_seconds += r.ckpt.capture_seconds;
         ckpt_totals.blocked_seconds += r.ckpt.blocked_seconds;
         ckpt_totals.write_seconds += r.ckpt.write_seconds;
+        ckpt_totals.staging_buffers =
+            std::max(ckpt_totals.staging_buffers, r.ckpt.staging_buffers);
 
         // exposed = wait + copy - hidden, so hidden + exposed = wait + copy
         // (the full halo handling on the shard threads).
@@ -283,11 +285,12 @@ int main(int argc, char** argv) {
     std::printf(
         "checkpointing every %d steps: %lld snapshot(s), %.1f MiB written, "
         "engine stalled %.4f s in capture (%.4f s of that waiting for a "
-        "buffer), %.4f s background write\n",
+        "buffer), %.4f s background write, at most %d staging buffer(s) per "
+        "writer (2 = the writer fell behind)\n",
         ckpt_every, static_cast<long long>(ckpt_totals.captured),
         static_cast<double>(ckpt_totals.bytes_written) / (1024.0 * 1024.0),
         ckpt_totals.capture_seconds, ckpt_totals.blocked_seconds,
-        ckpt_totals.write_seconds);
+        ckpt_totals.write_seconds, ckpt_totals.staging_buffers);
   }
   const std::string csv_path = cli.get("csv", "");
   if (!csv_path.empty()) {

@@ -1,5 +1,6 @@
 #include "io/snapshot.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cerrno>
@@ -13,9 +14,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "exec/thread_pool.hpp"
 #include "fault/inject.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "util/affinity.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
@@ -459,15 +462,40 @@ SnapshotInfo snapshot_from_string(const std::string& blob, grid::FieldSet& fs) {
   return read_snapshot(is, fs);
 }
 
-SnapshotWriter::SnapshotWriter(const grid::Layout& layout, int buffers)
-    : extents_(layout.interior()) {
-  if (buffers < 1) throw std::invalid_argument("SnapshotWriter: buffers must be >= 1");
+namespace {
+
+// Copy the interior rows of `fs` into `rows` in the staging layout (field-major,
+// as the file's chunks).  One thread per cpu the caller may run on, one
+// component array or more each; the team inherits the caller's mask, so a
+// pinned executor's copy stays on its slot.  No span inside: the caller's
+// snapshot.capture covers the copy, and every thread that records a span
+// gets a trace ring of its own.
+void stage_rows(const grid::FieldSet& fs, const Geometry& g, double* rows) {
+  const grid::Layout& L = fs.layout();
+  const int team = std::clamp(static_cast<int>(util::get_thread_affinity().cpus.size()), 1,
+                              kernels::kNumComps);
+  exec::ThreadTeam::run(team, [&](int tid) {
+    const exec::Chunk fields = exec::split_range(kernels::kNumComps, team, tid);
+    for (int f = fields.begin; f < fields.end; ++f) {
+      const grid::Field& field = fs.field(kernels::kComps[f].self);
+      double* dst = rows + static_cast<std::size_t>(f) * g.field_doubles();
+      for (int k = 0; k < g.nz; ++k) {
+        for (int j = 0; j < g.ny; ++j) {
+          std::memcpy(dst, field.data() + 2 * L.at(0, j, k), g.row_bytes());
+          dst += g.row_doubles();
+        }
+      }
+    }
+  });
+}
+
+}  // namespace
+
+SnapshotWriter::SnapshotWriter(const grid::Layout& layout) : extents_(layout.interior()) {
   const Geometry g{extents_.nx, extents_.ny, extents_.nz};
-  buffers_.resize(static_cast<std::size_t>(buffers));
-  for (std::size_t i = 0; i < buffers_.size(); ++i) {
-    buffers_[i].rows.resize(g.field_doubles() * kernels::kNumComps);
-    free_.push_back(i);
-  }
+  // Zero-filled, so its pages are faulted in before the first capture.
+  buffers_[0].rows = std::make_unique<double[]>(g.field_doubles() * kernels::kNumComps);
+  free_.push_back(0);
   thread_ = std::thread([this] { writer_loop(); });
 }
 
@@ -483,8 +511,7 @@ SnapshotWriter::~SnapshotWriter() {
 
 void SnapshotWriter::capture(const grid::FieldSet& fs, const SnapshotInfo& info,
                              std::string path, int keep) {
-  const grid::Layout& L = fs.layout();
-  if (!(L.interior() == extents_)) {
+  if (!(fs.layout().interior() == extents_)) {
     throw std::invalid_argument("SnapshotWriter: FieldSet layout mismatch");
   }
   OBS_SPAN("snapshot.capture", info.steps_done);
@@ -493,7 +520,9 @@ void SnapshotWriter::capture(const grid::FieldSet& fs, const SnapshotInfo& info,
   {
     std::unique_lock<std::mutex> lock(mu_);
     util::Timer blocked;
-    cv_free_.wait(lock, [this] { return !free_.empty() || error_ || stop_; });
+    cv_free_.wait(lock, [this] {
+      return !free_.empty() || stats_.staging_buffers < kMaxBuffers || error_ || stop_;
+    });
     stats_.blocked_seconds += blocked.seconds();
     if (error_) {
       std::exception_ptr e = error_;
@@ -501,23 +530,36 @@ void SnapshotWriter::capture(const grid::FieldSet& fs, const SnapshotInfo& info,
       std::rethrow_exception(e);
     }
     if (stop_) throw std::runtime_error("SnapshotWriter: capture after shutdown");
-    idx = free_.back();
-    free_.pop_back();
+    if (!free_.empty()) {
+      idx = free_.back();
+      free_.pop_back();
+    } else {
+      // The first buffer is still queued or being written: take the second
+      // rather than wait for it.
+      idx = static_cast<std::size_t>(stats_.staging_buffers++);
+    }
   }
 
   // Stage outside the lock — the buffer is neither free nor ready, so no
   // other thread touches it.
   Buffer& buf = buffers_[idx];
   const Geometry g{extents_.nx, extents_.ny, extents_.nz};
-  double* dst = buf.rows.data();
-  for (int f = 0; f < kernels::kNumComps; ++f) {
-    const grid::Field& field = fs.field(kernels::kComps[f].self);
-    for (int k = 0; k < g.nz; ++k) {
-      for (int j = 0; j < g.ny; ++j) {
-        std::memcpy(dst, field.data() + 2 * L.at(0, j, k), g.row_bytes());
-        dst += g.row_doubles();
-      }
+  try {
+    // Not zero-filled: the copy overwrites every element and faults the
+    // pages in across the team.
+    if (!buf.rows) {
+      buf.rows =
+          std::make_unique_for_overwrite<double[]>(g.field_doubles() * kernels::kNumComps);
     }
+    stage_rows(fs, g, buf.rows.get());
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!buf.rows) {
+      --stats_.staging_buffers;  // the allocation failed; the next capture retries it
+    } else {
+      free_.push_back(idx);
+    }
+    throw;
   }
   buf.info = info;
   buf.path = std::move(path);
@@ -572,7 +614,7 @@ void SnapshotWriter::writer_loop() {
       fault::maybe_fail("snapshot.writer");
       if (buf.keep > 1) rotate_snapshots(buf.path, buf.keep);
       write_file_atomic(buf.path, [&](std::ostream& os) {
-        const double* rows = buf.rows.data();
+        const double* rows = buf.rows.get();
         serialize_snapshot(os, buf.info, g, [&](int f, int j, int k) {
           const std::size_t field_off = static_cast<std::size_t>(f) * g.field_doubles();
           const std::size_t plane_off =

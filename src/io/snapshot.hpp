@@ -1,5 +1,5 @@
-// Versioned, self-describing field snapshots + a double-buffered streaming
-// writer that overlaps serialization with compute.
+// Versioned, self-describing field snapshots + a streaming writer that
+// overlaps serialization with compute.
 //
 // This is the on-disk contract behind checkpoint/restart as a scheduler
 // primitive: batch::Scheduler preempts a running job at a step boundary,
@@ -12,13 +12,14 @@
 //   - synchronous write_snapshot / read_snapshot (+ _file, _string forms):
 //     the file forms write atomically (temp + rename) so a crash mid-write
 //     never leaves a torn file at the destination path.
-//   - SnapshotWriter: double-buffered async writer.  capture() blocks only
-//     for a memcpy of the field rows into a staging buffer (plus, when both
-//     buffers are in flight, a wait for the previous write); a background
-//     thread chunks, CRCs and atomically writes the file while the engine
-//     keeps stepping.
+//   - SnapshotWriter: async writer.  capture() blocks only for a parallel
+//     copy of the field rows into a staging buffer (plus, when both buffers
+//     are in flight, a wait for the previous write); a background thread
+//     chunks, CRCs and atomically writes the file while the engine keeps
+//     stepping.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include <exception>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -127,15 +129,20 @@ struct CleanupStats {
 /// forever).  Missing directory is a no-op.
 CleanupStats cleanup_checkpoint_dir(const std::string& dir, int keep);
 
-/// Double-buffered streaming snapshot writer.
+/// Streaming snapshot writer: one staging buffer, a second on demand.
 ///
 /// capture() copies the field rows into a free staging buffer and returns;
 /// the background thread serializes, CRCs and atomically writes the file.
-/// With the default two buffers the engine only stalls when it produces
-/// snapshots faster than the disk drains them.  Write errors are sticky:
-/// the first failure is rethrown from the next capture()/wait_idle() call.
-/// The destructor drains pending writes (swallowing a sticky error — call
-/// wait_idle() first if you care).
+/// The constructor allocates one buffer.  A capture() that finds it still
+/// queued or being written allocates a second instead of waiting, so a
+/// writer that keeps up holds one snapshot's worth of memory, and the
+/// engine only stalls when it produces snapshots faster than the disk
+/// drains two of them.  The copy is split by component array over a
+/// fork-join team with one thread per cpu of the calling thread's affinity
+/// mask (at most one per array), so a pinned caller stays on its cpus.
+/// Write errors are sticky: the first failure is rethrown from the next
+/// capture()/wait_idle() call.  The destructor drains pending writes
+/// (swallowing a sticky error — call wait_idle() first if you care).
 ///
 /// Thread contract: capture() must be called from one thread at a time (the
 /// engine's step-hook thread); stats()/wait_idle() are safe from any thread.
@@ -148,17 +155,18 @@ class SnapshotWriter {
     double capture_seconds = 0.0;   // engine-side stall inside capture()
     double blocked_seconds = 0.0;   // part of capture spent waiting for a buffer
     double write_seconds = 0.0;     // background serialize+write time
+    int staging_buffers = 1;        // buffers allocated so far (1 or 2)
   };
 
   /// `layout` fixes the staging-buffer geometry; every capture()'d FieldSet
-  /// must share it.  `buffers` >= 1 (2 = classic double buffering).
-  explicit SnapshotWriter(const grid::Layout& layout, int buffers = 2);
+  /// must share it.
+  explicit SnapshotWriter(const grid::Layout& layout);
   ~SnapshotWriter();
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
   /// Stage a snapshot of `fs` for asynchronous write to `path`.  Blocks for
-  /// the row memcpy, plus a buffer wait if every buffer is still in flight.
+  /// the row copy, plus a buffer wait if both buffers are still in flight.
   /// Rethrows the first background write error, if any.  `keep` > 1 rotates
   /// the existing chain (rotate_snapshots) before the new file lands, so the
   /// last `keep` checkpoints survive on disk.
@@ -173,17 +181,19 @@ class SnapshotWriter {
 
  private:
   struct Buffer {
-    std::vector<double> rows;  // field-major interior rows (staging layout)
+    std::unique_ptr<double[]> rows;  // field-major interior rows (staging layout)
     SnapshotInfo info;
     std::string path;
     int keep = 1;              // rotation depth for this write
     std::int64_t correlation = -1;  // capture thread's trace correlation id
   };
 
+  static constexpr int kMaxBuffers = 2;
+
   void writer_loop();
 
   grid::Extents extents_{};
-  std::vector<Buffer> buffers_;
+  std::array<Buffer, kMaxBuffers> buffers_;  // [1] is allocated on demand
   mutable std::mutex mu_;
   std::condition_variable cv_free_;   // a buffer became free
   std::condition_variable cv_done_;   // queue drained / writer finished one

@@ -395,7 +395,9 @@ void Server::handle_request(const std::shared_ptr<Session>& session,
 void Server::handle_jobs(const std::shared_ptr<Session>& session, const Request& req,
                          std::vector<batch::Job> jobs) {
   const std::uint64_t request = next_request_.fetch_add(1);
-  const std::string rid = req.id.empty() ? "r" + std::to_string(request) : req.id;
+  // A char, not "r": gcc 12 flags a literal + std::string here with a false
+  // -Wrestrict.
+  const std::string rid = req.id.empty() ? 'r' + std::to_string(request) : req.id;
   {
     // Register the countdown BEFORE anything is admitted: a fast job could
     // otherwise finish and look up a request that does not exist yet.

@@ -1,17 +1,22 @@
 // Export module tests: slice CSV and VTK structure; snapshot format and
 // the async SnapshotWriter (src/io/README.md is the normative spec).
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include "em/material.hpp"
 #include "io/export.hpp"
 #include "io/snapshot.hpp"
 #include "thiim/simulation.hpp"
+#include "util/affinity.hpp"
 
 namespace {
 
@@ -231,6 +236,7 @@ TEST(SnapshotWriter, CapturesStateAtCaptureTime) {
     EXPECT_EQ(st.captured, 1);
     EXPECT_EQ(st.written, 1);
     EXPECT_GT(st.bytes_written, 0);
+    EXPECT_EQ(st.staging_buffers, 1);  // a writer that keeps up never needs a second
   }
   grid::FieldSet back(L);
   io::read_snapshot_file(path, back);
@@ -251,10 +257,80 @@ TEST(SnapshotWriter, RepeatedCapturesLatestWins) {
   writer.wait_idle();
   EXPECT_EQ(writer.stats().captured, 4);
   EXPECT_EQ(writer.stats().written, 4);
+  EXPECT_LE(writer.stats().staging_buffers, 2);  // never a third: later captures wait
   grid::FieldSet back(L);
   EXPECT_EQ(io::read_snapshot_file(path, back).steps_done, 3);
   EXPECT_EQ(grid::FieldSet::max_field_diff(make_snapshot_fields(3), back), 0.0);
   std::remove(path.c_str());
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(SnapshotWriter, SecondBufferOnlyWhileTheFirstIsInFlight) {
+  // A FIFO as the first write's temp file holds that write in open() until
+  // the test reads it, so the first buffer stays in flight for certain.
+  grid::Layout L({5, 4, 6});
+  const std::string dir = testing::TempDir() + "/emwd_ondemand";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string stuck = dir + "/stuck.ckpt";
+  ASSERT_EQ(mkfifo((stuck + ".tmp~").c_str(), 0600), 0);
+  const auto fs = make_snapshot_fields(4.0);
+  const std::string want = io::snapshot_to_string(fs, make_info());
+  io::SnapshotWriter writer(L);
+  writer.capture(fs, make_info(), stuck);
+  std::string drained;
+  std::thread drain([&] {
+    // Read the FIFO once the second capture is in, or after 10 s, so a
+    // second capture that waits for the first buffer fails the test
+    // instead of hanging it.  The pause lets the third capture wait.
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (writer.stats().captured < 2 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    drained = file_bytes(stuck + ".tmp~");
+  });
+  writer.capture(fs, make_info(), dir + "/second.ckpt");
+  EXPECT_EQ(writer.stats().staging_buffers, 2);
+  // Both buffers are in flight (unless the drain won the race), so this
+  // one waits until the drained write frees the first.
+  writer.capture(fs, make_info(), dir + "/third.ckpt");
+  drain.join();
+  writer.wait_idle();
+  const auto st = writer.stats();
+  EXPECT_EQ(st.staging_buffers, 2);  // never more than two
+  EXPECT_EQ(st.written, 3);
+  EXPECT_EQ(drained, want);
+  EXPECT_EQ(file_bytes(dir + "/second.ckpt"), want);
+  EXPECT_EQ(file_bytes(dir + "/third.ckpt"), want);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotWriter, PinnedAndUnpinnedCapturesWriteIdenticalFiles) {
+  // The staging team has one thread per cpu of the caller's mask: a caller
+  // pinned to one cpu copies alone, an unpinned one splits the component
+  // arrays.  Either way the file must be the same bytes.
+  grid::Layout L({5, 4, 6});
+  const auto fs = make_snapshot_fields(2.0);
+  const std::string pinned = testing::TempDir() + "/emwd_pinned.ckpt";
+  const std::string unpinned = testing::TempDir() + "/emwd_unpinned.ckpt";
+  io::SnapshotWriter writer(L);
+  {
+    util::ScopedAffinity pin({util::get_thread_affinity().cpus.front()});
+    ASSERT_TRUE(pin.pinned());
+    writer.capture(fs, make_info(), pinned);
+  }
+  writer.capture(fs, make_info(), unpinned);
+  writer.wait_idle();
+  const std::string want = io::snapshot_to_string(fs, make_info());
+  EXPECT_EQ(file_bytes(pinned), want);
+  EXPECT_EQ(file_bytes(unpinned), want);
+  std::remove(pinned.c_str());
+  std::remove(unpinned.c_str());
 }
 
 TEST(SnapshotWriter, WriteErrorsAreStickyAndRethrown) {
