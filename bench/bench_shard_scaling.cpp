@@ -47,12 +47,16 @@ struct RowResult {
 
 /// Warmup outside the timed region (the sharded engine's first run also
 /// allocates its shard state), then the best of `repeats` timed runs (the
-/// tuner's stage-2 methodology).  With ckpt_every > 0 the run checkpoints
-/// to `ckpt_path` through the async SnapshotWriter and the `seconds` column
-/// becomes wall time around exec::run_segmented — capture stalls included, so
-/// diffing a checkpointed run against a plain one measures exactly the
-/// overhead the <5% acceptance gate is about (background write time is
-/// drained between repeats, outside the timed region).
+/// tuner's stage-2 methodology).  Each repeat's clear_fields() lets go of
+/// the shard sets a sharded run left the set split onto, so each repeat
+/// scatters once, in its first run; its later segments run on the shard
+/// sets in place.  With ckpt_every > 0 the run checkpoints to `ckpt_path`
+/// through the async SnapshotWriter, which reads the split set's rows from
+/// the shards, and the `seconds` column becomes wall time around
+/// exec::run_segmented — capture stalls included, so diffing a checkpointed
+/// run against a plain one measures exactly the overhead the <5%
+/// acceptance gate is about (background write time is drained between
+/// repeats, outside the timed region).
 RowResult run_point(const exec::EngineSpec& spec, const grid::Layout& layout,
                     int threads, int steps, int repeats, unsigned seed,
                     int ckpt_every, const std::string& ckpt_path) {

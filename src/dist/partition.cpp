@@ -52,12 +52,6 @@ void Partitioner::scatter(const grid::FieldSet& global_fs, grid::FieldSet& shard
   shard_fs.set_x_boundary(global_fs.x_boundary());
 }
 
-void Partitioner::gather(const grid::FieldSet& shard_fs, grid::FieldSet& global_fs,
-                         int s) const {
-  const ShardExtent& e = shard(s);
-  global_fs.copy_field_planes_from(shard_fs, e.to_local(e.z0), e.z0, e.owned());
-}
-
 int Partitioner::clamp_shards(int nz, int requested, int overlap) {
   const int by_planes = std::max(1, nz / std::max(1, overlap));
   return std::clamp(requested, 1, std::min(nz, by_planes));

@@ -58,11 +58,10 @@ class Partitioner {
 
   /// Copy the field, class-id and source planes of the shard's extended
   /// range out of the global set, with each plane's coefficient slice
-  /// (shard setup).  `shard_fs` must use shard_layout(s).
+  /// (shard setup).  `shard_fs` must use shard_layout(s).  Nothing copies
+  /// them back: the global set is split onto the shard sets
+  /// (grid::FieldSet::split), and joining it copies the owned planes.
   void scatter(const grid::FieldSet& global_fs, grid::FieldSet& shard_fs, int s) const;
-
-  /// Copy the 12 field arrays' OWNED planes back into the global set.
-  void gather(const grid::FieldSet& shard_fs, grid::FieldSet& global_fs, int s) const;
 
   /// Largest shard count so that a balanced split of nz keeps every owned
   /// block >= overlap (and >= 1); always in [1, max_shards].

@@ -13,7 +13,6 @@
 #include "exec/thread_pool.hpp"
 #include "grid/fieldset.hpp"
 #include "util/affinity.hpp"
-#include "util/barrier.hpp"
 #include "util/timer.hpp"
 
 namespace emwd::dist {
@@ -85,8 +84,9 @@ class ShardedEngine final : public exec::Engine {
   std::string name() const override { return p_.describe(); }
   int threads() const override { return p_.threads(); }
 
-  /// Build (or rebuild, when the extents changed) the cached shard state
-  /// for grids of interior extents `e`; a no-op for unchanged extents.
+  /// Build (or rebuild, when the extents changed) the cached layout state
+  /// for grids of interior extents `e`: the partition and the inners.  A
+  /// no-op for unchanged extents.
   void prepare(const grid::Extents& e) {
     if (prepared_ && prepared_->extents == e) return;
     prepared_.reset();
@@ -96,27 +96,17 @@ class ShardedEngine final : public exec::Engine {
     const int overlap = (K > 1) ? p_.exchange_interval : 1;
     st->part = std::make_unique<Partitioner>(e, K, overlap);
     st->topo = p_.numa_bind ? NumaTopology::detect() : NumaTopology::single_node(p_.threads());
-    st->sets.resize(static_cast<std::size_t>(K));
-    st->ptrs.assign(static_cast<std::size_t>(K), nullptr);
     st->inners.resize(static_cast<std::size_t>(K));
-
-    // First touch: allocate and zero-fill each shard's FieldSet from a
-    // thread bound to the shard's NUMA node so the pages land there.
     exec::ThreadTeam::run(K, [&](int s) {
       const ScopedNodeBinding binding(p_.numa_bind, st->topo, s, K);
-      st->sets[static_cast<std::size_t>(s)] =
-          std::make_unique<grid::FieldSet>(st->part->shard_layout(s));
-      st->ptrs[static_cast<std::size_t>(s)] = st->sets[static_cast<std::size_t>(s)].get();
       // Each inner sees the grid it runs on: the shard's extended extents.
       exec::BuildContext ctx;
-      ctx.grid = st->sets[static_cast<std::size_t>(s)]->layout().interior();
+      ctx.grid = st->part->shard_layout(s).interior();
       ctx.threads = p_.threads_per_shard;
       const std::size_t spec =
           std::min(static_cast<std::size_t>(s), p_.inners.size() - 1);
       st->inners[static_cast<std::size_t>(s)] = registry_.build(p_.inners[spec], ctx);
     });
-    st->halo =
-        std::make_unique<HaloExchange>(*st->part, st->ptrs, make_transport(p_.transport));
     prepared_ = std::move(st);
   }
 
@@ -127,8 +117,17 @@ class ShardedEngine final : public exec::Engine {
     const Partitioner& part = *st.part;
     const int K = part.num_shards();
 
+    // A set split onto this engine's shard sets holds its values there, so
+    // the run goes straight to the rounds.  Any other set is joined (if
+    // other parts hold its values), scattered and, after the run, split
+    // onto the shard sets.
+    const bool resident = st.bundle && fs.parts() == st.bundle.get();
+    if (!resident) {
+      fs.join();
+      take_bundle(st);
+    }
+
     std::vector<exec::EngineStats> shard_work(static_cast<std::size_t>(K));
-    util::SpinBarrier barrier(K);
     st.halo->reset_flow();  // single-threaded: no shard thread is running yet
 
     // Failure protocol: a shard that throws (scatter, halo wait, inner step
@@ -152,27 +151,28 @@ class ShardedEngine final : public exec::Engine {
     exec::ThreadTeam::run(K, [&](int s) {
       const ScopedNodeBinding binding(p_.numa_bind, st.topo, s, K);
 
-      grid::FieldSet& local = *st.ptrs[static_cast<std::size_t>(s)];
+      grid::FieldSet& local = *st.bundle->parts[static_cast<std::size_t>(s)].set;
       exec::Engine& inner = *st.inners[static_cast<std::size_t>(s)];
       exec::EngineStats& work = shard_work[static_cast<std::size_t>(s)];
 
-      try {
-        part.scatter(fs, local, s);
-      } catch (...) {
-        record_failure();
+      // A shard's scatter reads the caller's set and writes only its own
+      // FieldSet, and the rounds touch nothing else of it, so no shard
+      // waits for the others' scatter.
+      if (!resident) {
+        try {
+          part.scatter(fs, local, s);
+        } catch (...) {
+          record_failure();
+        }
       }
-      // Startup: all shards finish scattering before anyone's first round;
-      // the pairwise protocol begins only after it.
-      barrier.arrive_and_wait();
-
-      run_rounds(*st.halo, s, steps, inner, local, work, failed, record_failure);
-
-      // Owned plane ranges are disjoint, so shards gather concurrently.
-      if (!failed.load(std::memory_order_acquire)) part.gather(local, fs, s);
+      run_rounds(*st.halo, s, steps, resident, inner, local, work, failed, record_failure);
     });
     const double seconds = timer.seconds();
     // Taken even from a failed run, so its counts never reach the next one.
     const exec::EngineStats halo = st.halo->take_stats();
+    // Split even after a failure: the values are unspecified then, and the
+    // set reads them from the shard sets like any others.
+    if (!resident) fs.split(st.bundle);
 
     // Clear before the rethrow so a caller that catches and inspects
     // stats() never sees a previous successful run's numbers.
@@ -194,12 +194,30 @@ class ShardedEngine final : public exec::Engine {
   /// One shard's round loop (the post/wait protocol, see halo.hpp): wait
   /// for the previous round's ghost planes, run the inner engine for one
   /// round, post this round's boundary planes.  A shard synchronizes with
-  /// its <= 2 neighbors only, and never at a full stop.
-  void run_rounds(HaloExchange& halo, int s, int steps, exec::Engine& inner,
+  /// its <= 2 neighbors only, and never at a full stop.  A `resident` run
+  /// starts from the shard sets the previous run left: owned planes exact,
+  /// ghost planes stale by up to one round, since the last round posts
+  /// nothing.  So it posts first, and its first compute waits for that
+  /// exchange, as it would after a scatter's fresh ghosts.
+  void run_rounds(HaloExchange& halo, int s, int steps, bool resident, exec::Engine& inner,
                   grid::FieldSet& local, exec::EngineStats& work,
                   std::atomic<bool>& failed,
                   const std::function<void()>& record_failure) {
+    // Publish a round's planes — in drain form once the run is failing, so
+    // the neighbors' waits always terminate.  stage() may throw (fault
+    // injection, a transport's ring/peer deadline): record it and re-post
+    // in drain form — post is idempotent per round, so the counter still
+    // advances and neighbors never stall on us.
+    const auto post = [&](std::int64_t round) {
+      try {
+        halo.post(s, round, failed.load(std::memory_order_acquire));
+      } catch (...) {
+        record_failure();
+        halo.post(s, round, /*drain=*/true);
+      }
+    };
     std::int64_t round = 0;
+    if (resident && steps > 0) post(++round);
     int remaining = steps;
     while (remaining > 0) {
       const int chunk = std::min(p_.exchange_interval, remaining);
@@ -220,30 +238,47 @@ class ShardedEngine final : public exec::Engine {
       if (round > 1) halo.wait(s, round - 1, /*drain=*/true);
       remaining -= chunk;
       if (remaining == 0) break;
-      // Publish this round's planes — in drain form once the run is
-      // failing, so the neighbors' waits always terminate.  stage() may
-      // throw (fault injection, a transport's ring/peer deadline): record
-      // it and re-post in drain form — post is idempotent per round, so
-      // the counter still advances and neighbors never stall on us.
-      try {
-        halo.post(s, round, failed.load(std::memory_order_acquire));
-      } catch (...) {
-        record_failure();
-        halo.post(s, round, /*drain=*/true);
-      }
+      post(round);
     }
   }
 
-  /// Layout-dependent state reused across run() calls (see prepare()).
+  /// Layout-dependent state reused across run() calls (see prepare() and
+  /// take_bundle()).
   struct PreparedState {
     grid::Extents extents{};
     std::unique_ptr<Partitioner> part;
     NumaTopology topo;
-    std::vector<std::unique_ptr<grid::FieldSet>> sets;
-    std::vector<grid::FieldSet*> ptrs;
     std::vector<std::unique_ptr<exec::Engine>> inners;
-    std::unique_ptr<HaloExchange> halo;
+    /// The shard sets, one part per shard, shared with the set they split.
+    std::shared_ptr<grid::FieldParts> bundle;
+    std::unique_ptr<HaloExchange> halo;  // exchanges between bundle's sets
   };
+
+  /// Make st.bundle shard sets this run may write: the kept ones, unless a
+  /// set still reads them.  Then a new bundle replaces them, each shard's
+  /// FieldSet allocated and zero-filled from a thread bound to the shard's
+  /// NUMA node (first touch, so the pages land there), with an exchanger
+  /// rebuilt on it.  The set holding the old bundle keeps it alive.
+  void take_bundle(PreparedState& st) {
+    if (st.bundle && st.bundle->holders.load(std::memory_order_acquire) == 0) return;
+    const Partitioner& part = *st.part;
+    const int K = part.num_shards();
+    auto bundle = std::make_shared<grid::FieldParts>();
+    bundle->parts.resize(static_cast<std::size_t>(K));
+    exec::ThreadTeam::run(K, [&](int s) {
+      const ScopedNodeBinding binding(p_.numa_bind, st.topo, s, K);
+      const ShardExtent& e = part.shard(s);
+      grid::FieldParts::Part& p = bundle->parts[static_cast<std::size_t>(s)];
+      p.set = std::make_unique<grid::FieldSet>(part.shard_layout(s));
+      p.z0 = e.z0;
+      p.z1 = e.z1;
+      p.first = e.ext_z0();
+    });
+    std::vector<grid::FieldSet*> sets;
+    for (const grid::FieldParts::Part& p : bundle->parts) sets.push_back(p.set.get());
+    st.halo = std::make_unique<HaloExchange>(part, sets, make_transport(p_.transport));
+    st.bundle = std::move(bundle);
+  }
 
   ShardedParams p_;
   const exec::EngineRegistry& registry_;

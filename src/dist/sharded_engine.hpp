@@ -11,6 +11,11 @@
 // post/wait protocol of halo.hpp).  Shards synchronize only pairwise, with
 // their <= 2 neighbors.
 //
+// Between runs the shards own the state: a run leaves the caller's
+// FieldSet split onto the shard sets (grid::FieldSet::split), so nothing is
+// copied back and the caller holds no second copy.  The next run on that
+// set goes straight to the rounds; readers take rows from the shards.
+//
 // Results are bit-identical to the same inner engine on the undecomposed
 // grid; the gain is multi-socket memory locality and, for thin or very
 // deep domains, independent per-shard tiling.
@@ -53,23 +58,31 @@ struct ShardedParams {
 
 /// Engine-interface wrapper; usable anywhere the other engines are.
 /// The first run() builds everything that depends only on the grid layout
-/// — the partition, one NUMA-first-touch FieldSet per shard, the halo
-/// exchanger and the inner engines — and keeps it; later runs on grids of
-/// the same interior extents reuse it and pay only the scatter/step/gather
-/// cost (other extents rebuild it).  So back-to-back timed runs (tuner
-/// refinement, benches) allocate once: a zero-step run() before the timed
-/// region moves the allocation out of it.
+/// — the partition, one NUMA-first-touch FieldSet per shard (the bundle),
+/// the halo exchanger and the inner engines — and keeps it; other extents
+/// rebuild it.  A run on the set that holds the bundle (the last run's set,
+/// not written since) pays only one halo exchange to refresh the ghost
+/// planes, then the steps.  A run on any other set first joins it if
+/// another bundle holds its values, then scatters it into the bundle and
+/// splits it onto the bundle afterwards.  If another set still reads the
+/// bundle, the run allocates a new one (first touch, a rebuilt exchanger)
+/// instead of writing into values that set reads.  Nothing is ever
+/// gathered.  So back-to-back timed runs (tuner refinement, benches)
+/// allocate once: a zero-step run() before the timed region moves the
+/// allocation and the scatter out of it.
 /// The constructor builds each distinct inner spec once on the caller
 /// thread, so a malformed inner fails there rather than mid-run.
 /// stats() after run(): `lups` counts updates actually performed (including
 /// redundant ghost-plane updates), while `mlups` is useful throughput —
 /// global interior cells * steps / wall seconds.  `shards`,
 /// `halo_exchange_seconds` and `halo_bytes_moved` describe the exchange.
-/// If an inner engine or a halo call throws in any shard, every shard walks
-/// the rest of the round schedule in drain form and finishes the run as a
-/// no-op; the first exception is rethrown on the caller after every shard
-/// thread has joined (the global FieldSet's field values are unspecified in
-/// that case).
+/// If a scatter, an inner engine or a halo call throws in any shard, every
+/// shard walks the rest of the round schedule in drain form and finishes
+/// the run as a no-op; the first exception is rethrown on the caller after
+/// every shard thread has joined.  The set is split onto the bundle even
+/// then, and its field values are unspecified: a caller that retries must
+/// rewrite them (the scheduler's retries borrow a set, which clear_all()
+/// resets, and set it up or restore it again).
 std::unique_ptr<exec::Engine> make_sharded_engine(const ShardedParams& params);
 
 }  // namespace emwd::dist

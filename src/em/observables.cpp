@@ -9,41 +9,45 @@ namespace emwd::em {
 
 using kernels::Comp;
 
-std::complex<double> parent_E(const grid::FieldSet& fs, int axis, int i, int j, int k) {
-  switch (axis) {
-    case 0:
-      return fs.field(Comp::Exy).at(i, j, k) + fs.field(Comp::Exz).at(i, j, k);
-    case 1:
-      return fs.field(Comp::Eyx).at(i, j, k) + fs.field(Comp::Eyz).at(i, j, k);
-    default:
-      return fs.field(Comp::Ezx).at(i, j, k) + fs.field(Comp::Ezy).at(i, j, k);
-  }
-}
-
-std::complex<double> parent_H(const grid::FieldSet& fs, int axis, int i, int j, int k) {
-  switch (axis) {
-    case 0:
-      return fs.field(Comp::Hxy).at(i, j, k) + fs.field(Comp::Hxz).at(i, j, k);
-    case 1:
-      return fs.field(Comp::Hyx).at(i, j, k) + fs.field(Comp::Hyz).at(i, j, k);
-    default:
-      return fs.field(Comp::Hzx).at(i, j, k) + fs.field(Comp::Hzy).at(i, j, k);
-  }
-}
-
 namespace {
 
-double parent_energy(const grid::FieldSet& fs, bool electric) {
+/// The two split parts of each parent component along axis 0..2: Ex = Exy
+/// + Exz, Ey = Eyx + Eyz, Ez = Ezx + Ezy (and the same for H).
+constexpr Comp kParentE[3][2] = {
+    {Comp::Exy, Comp::Exz}, {Comp::Eyx, Comp::Eyz}, {Comp::Ezx, Comp::Ezy}};
+constexpr Comp kParentH[3][2] = {
+    {Comp::Hxy, Comp::Hxz}, {Comp::Hyx, Comp::Hyz}, {Comp::Hzx, Comp::Hzy}};
+
+std::complex<double> cell(const double* row, int i) { return {row[2 * i], row[2 * i + 1]}; }
+
+/// Parent component `axis` of `parts` (kParentE or kParentH) at one cell.
+std::complex<double> parent_at(const grid::FieldSet& fs, const Comp (&parts)[3][2], int axis,
+                               int i, int j, int k) {
+  const Comp(&p)[2] = parts[axis == 0 || axis == 1 ? axis : 2];
+  return cell(fs.row(p[0], j, k), i) + cell(fs.row(p[1], j, k), i);
+}
+
+/// Rows (j, k) of the six split parts in `parts`, for one row's parents.
+struct ParentRows {
+  ParentRows(const grid::FieldSet& fs, const Comp (&parts)[3][2], int j, int k) {
+    for (int axis = 0; axis < 3; ++axis) {
+      for (int p = 0; p < 2; ++p) rows[axis][p] = fs.row(parts[axis][p], j, k);
+    }
+  }
+  std::complex<double> at(int axis, int i) const {
+    return cell(rows[axis][0], i) + cell(rows[axis][1], i);
+  }
+  const double* rows[3][2];
+};
+
+double parent_energy(const grid::FieldSet& fs, const Comp (&parts)[3][2]) {
   const grid::Layout& L = fs.layout();
   double sum = 0.0;
   for (int k = 0; k < L.nz(); ++k) {
     for (int j = 0; j < L.ny(); ++j) {
+      const ParentRows r(fs, parts, j, k);
       for (int i = 0; i < L.nx(); ++i) {
-        for (int axis = 0; axis < 3; ++axis) {
-          const std::complex<double> v =
-              electric ? parent_E(fs, axis, i, j, k) : parent_H(fs, axis, i, j, k);
-          sum += std::norm(v);
-        }
+        for (int axis = 0; axis < 3; ++axis) sum += std::norm(r.at(axis, i));
       }
     }
   }
@@ -52,9 +56,17 @@ double parent_energy(const grid::FieldSet& fs, bool electric) {
 
 }  // namespace
 
-double electric_energy(const grid::FieldSet& fs) { return parent_energy(fs, true); }
+std::complex<double> parent_E(const grid::FieldSet& fs, int axis, int i, int j, int k) {
+  return parent_at(fs, kParentE, axis, i, j, k);
+}
 
-double magnetic_energy(const grid::FieldSet& fs) { return parent_energy(fs, false); }
+std::complex<double> parent_H(const grid::FieldSet& fs, int axis, int i, int j, int k) {
+  return parent_at(fs, kParentH, axis, i, j, k);
+}
+
+double electric_energy(const grid::FieldSet& fs) { return parent_energy(fs, kParentE); }
+
+double magnetic_energy(const grid::FieldSet& fs) { return parent_energy(fs, kParentH); }
 
 std::vector<double> absorption_by_material(const grid::FieldSet& fs,
                                            const MaterialGrid& mats, double omega) {
@@ -62,9 +74,10 @@ std::vector<double> absorption_by_material(const grid::FieldSet& fs,
   std::vector<double> out(mats.palette_size(), 0.0);
   for (int k = 0; k < L.nz(); ++k) {
     for (int j = 0; j < L.ny(); ++j) {
+      const ParentRows r(fs, kParentE, j, k);
       for (int i = 0; i < L.nx(); ++i) {
         double e2 = 0.0;
-        for (int axis = 0; axis < 3; ++axis) e2 += std::norm(parent_E(fs, axis, i, j, k));
+        for (int axis = 0; axis < 3; ++axis) e2 += std::norm(r.at(axis, i));
         const std::uint8_t id = mats.id_at(i, j, k);
         const Material& m = mats.material(id);
         out[id] += (m.sigma + omega * m.eps.imag()) * e2;
@@ -75,9 +88,18 @@ std::vector<double> absorption_by_material(const grid::FieldSet& fs,
 }
 
 double fields_norm(const grid::FieldSet& fs) {
+  const grid::Layout& L = fs.layout();
   double sum = 0.0;
   for (const auto& c : kernels::kComps) {
-    const double n = fs.field(c.self).norm();
+    // Each component's norm is taken on its own, then squared back.
+    double sq = 0.0;
+    for (int k = 0; k < L.nz(); ++k) {
+      for (int j = 0; j < L.ny(); ++j) {
+        const double* row = fs.row(c.self, j, k);
+        for (int i = 0; i < 2 * L.nx(); ++i) sq += row[i] * row[i];
+      }
+    }
+    const double n = std::sqrt(sq);
     sum += n * n;
   }
   return std::sqrt(sum);
@@ -90,17 +112,15 @@ double fixed_point_residual(const grid::FieldSet& fs) {
 }
 
 double relative_change(const grid::FieldSet& a, const grid::FieldSet& b) {
+  const grid::Layout& L = a.layout();
   double num = 0.0;
   for (const auto& c : kernels::kComps) {
     // ||a - b||^2 accumulated per component without materializing a copy.
-    const grid::Layout& L = a.layout();
-    const grid::Field& fa = a.field(c.self);
-    const grid::Field& fb = b.field(c.self);
     for (int k = 0; k < L.nz(); ++k) {
       for (int j = 0; j < L.ny(); ++j) {
-        for (int i = 0; i < L.nx(); ++i) {
-          num += std::norm(fa.at(i, j, k) - fb.at(i, j, k));
-        }
+        const double* ra = a.row(c.self, j, k);
+        const double* rb = b.row(c.self, j, k);
+        for (int i = 0; i < L.nx(); ++i) num += std::norm(cell(ra, i) - cell(rb, i));
       }
     }
   }

@@ -67,20 +67,4 @@ double Field::norm() const {
   return std::sqrt(sum);
 }
 
-double Field::max_abs_diff(const Field& a, const Field& b) {
-  if (!(a.layout_ == b.layout_)) {
-    throw std::invalid_argument("max_abs_diff: layout mismatch");
-  }
-  double worst = 0.0;
-  const int nx = a.layout_.nx(), ny = a.layout_.ny(), nz = a.layout_.nz();
-  for (int k = 0; k < nz; ++k) {
-    for (int j = 0; j < ny; ++j) {
-      const double* ra = a.data_.data() + 2 * a.layout_.at(0, j, k);
-      const double* rb = b.data_.data() + 2 * b.layout_.at(0, j, k);
-      for (int i = 0; i < 2 * nx; ++i) worst = std::max(worst, std::fabs(ra[i] - rb[i]));
-    }
-  }
-  return worst;
-}
-
 }  // namespace emwd::grid

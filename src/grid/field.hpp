@@ -45,6 +45,10 @@ class Field {
   /// Reset everything (interior and halo) to zero.
   void clear();
 
+  /// Free the array and keep the layout: the state of a split FieldSet's
+  /// fields (FieldSet::split), which the set never hands out.
+  void release() { decltype(data_)().swap(data_); }
+
   /// Copy `count` whole padded z-planes (interior plus x/y halo rows) from
   /// `src`, planes [k_src, k_src + count) into [k_dst, k_dst + count).
   /// Plane indices are logical (0 = first interior plane) and may extend
@@ -63,8 +67,6 @@ class Field {
 
   /// Interior L2 norm sqrt(sum |v|^2); halo excluded.
   double norm() const;
-  /// Max interior |a - b| between two fields on the same layout.
-  static double max_abs_diff(const Field& a, const Field& b);
 
  private:
   Layout layout_{};

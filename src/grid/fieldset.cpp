@@ -1,6 +1,7 @@
 #include "grid/fieldset.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace emwd::grid {
@@ -9,13 +10,79 @@ FieldSet::FieldSet(const Layout& layout)
     : layout_(layout),
       cls_(layout.padded_cells(), 0),
       zero_row_(2 * static_cast<std::size_t>(layout.stride_y()), 0.0) {
-  for (auto& f : fields_) f = Field(layout);
+  for (auto& f : store_.fields) f = Field(layout);
   for (auto& planes : src_) planes.resize(static_cast<std::size_t>(layout.pz()));
   reset_coefficients(1);
 }
 
+// ---- split storage -------------------------------------------------------
+
+FieldSet::Store::Store(Store&& o) noexcept
+    : fields(std::move(o.fields)),
+      parts(std::move(o.parts)),
+      split(o.split.load(std::memory_order_relaxed)) {
+  o.split.store(false, std::memory_order_relaxed);
+}
+
+void FieldSet::Store::copy_to(std::array<Field, kernels::kNumComps>& out) const {
+  if (!split.load(std::memory_order_acquire)) {
+    out = fields;
+    return;
+  }
+  for (int c = 0; c < kernels::kNumComps; ++c) {
+    out[c] = Field(fields[c].layout());
+    for (const FieldParts::Part& p : parts->parts) {
+      out[c].copy_z_planes_from(p.set->field(static_cast<kernels::Comp>(c)), p.z0 - p.first,
+                                p.z0, p.z1 - p.z0);
+    }
+  }
+}
+
+void FieldSet::Store::let_go() {
+  if (parts) {
+    parts->holders.fetch_sub(1, std::memory_order_release);
+    parts.reset();
+  }
+  split.store(false, std::memory_order_release);
+}
+
+void FieldSet::split(std::shared_ptr<const FieldParts> parts) {
+  int z = 0;
+  for (const FieldParts::Part& p : parts->parts) {
+    const Layout& l = p.set->layout();
+    if (p.z0 != z || p.z1 <= p.z0 || p.z0 - p.first < 0 || p.z1 - p.first > l.nz() ||
+        l.nx() != layout_.nx() || l.ny() != layout_.ny() || l.halo() != layout_.halo()) {
+      throw std::invalid_argument("split: parts do not tile the set's planes");
+    }
+    z = p.z1;
+  }
+  if (z != layout_.nz()) throw std::invalid_argument("split: parts do not tile the set's planes");
+  store_.let_go();
+  parts->holders.fetch_add(1, std::memory_order_relaxed);
+  store_.parts = std::move(parts);
+  for (auto& f : store_.fields) f.release();
+  store_.split.store(true, std::memory_order_release);
+}
+
+void FieldSet::join_parts() const {
+  const std::lock_guard<std::mutex> lock(store_.join_mu);
+  if (!store_.split.load(std::memory_order_relaxed)) return;  // another thread joined
+  store_.copy_to(store_.fields);
+  store_.let_go();
+}
+
+const double* FieldSet::part_row(kernels::Comp c, int j, int k) const {
+  const std::vector<FieldParts::Part>& parts = store_.parts->parts;
+  auto p = parts.begin();
+  while (p + 1 != parts.end() && k >= p->z1) ++p;
+  return p->set->row(c, j, k - p->first);
+}
+
+// ---- coefficients ----------------------------------------------------------
+
 void FieldSet::reset_coefficients(int num_classes,
                                   const std::array<std::vector<int>, 3>& slice_of) {
+  join();
   if (num_classes < 1 || num_classes > 256) {
     throw std::invalid_argument("reset_coefficients: classes must be in [1, 256]");
   }
@@ -44,6 +111,7 @@ void FieldSet::reset_coefficients(int num_classes,
 
 void FieldSet::set_coeffs(kernels::Comp c, int slice, int cls, std::complex<double> t,
                           std::complex<double> cv) {
+  join();
   if (slice < 0 || slice >= num_slices(kernels::info(c).axis) || cls < 0 ||
       cls >= num_classes_) {
     throw std::out_of_range("set_coeffs: entry outside the table");
@@ -77,6 +145,7 @@ std::complex<double> FieldSet::source_at(int s, int i, int j, int k) const {
 }
 
 void FieldSet::set_source(int s, int i, int j, int k, std::complex<double> v) {
+  join();
   Doubles& p = plane(s, k);
   if (p.empty()) p.assign(2 * static_cast<std::size_t>(layout_.stride_z()), 0.0);
   double* cell = p.data() + in_plane(j, k) + 2 * static_cast<std::size_t>(i);
@@ -85,13 +154,19 @@ void FieldSet::set_source(int s, int i, int j, int k, std::complex<double> v) {
 }
 
 void FieldSet::clear_sources() {
+  join();
   for (auto& planes : src_) {
     for (auto& p : planes) Doubles().swap(p);
   }
 }
 
 void FieldSet::clear_fields() {
-  for (auto& f : fields_) f.clear();
+  if (store_.split.load(std::memory_order_relaxed)) {
+    for (auto& f : store_.fields) f = Field(layout_);
+    store_.let_go();
+  } else {
+    for (auto& f : store_.fields) f.clear();
+  }
 }
 
 void FieldSet::clear_all() {
@@ -104,18 +179,21 @@ void FieldSet::copy_fields_from(const FieldSet& other) {
   if (!(layout_ == other.layout_)) {
     throw std::invalid_argument("copy_fields_from: layout mismatch");
   }
-  for (int c = 0; c < kernels::kNumComps; ++c) fields_[c] = other.fields_[c];
+  if (&other == this) return;
+  store_.let_go();  // every value is overwritten: no join needed
+  other.store_.copy_to(store_.fields);
 }
 
 void FieldSet::copy_field_planes_from(const FieldSet& src, int k_src, int k_dst,
                                       int count) {
-  for (int c = 0; c < kernels::kNumComps; ++c) {
-    fields_[c].copy_z_planes_from(src.fields_[c], k_src, k_dst, count);
+  for (const auto& ci : kernels::kComps) {
+    field(ci.self).copy_z_planes_from(src.field(ci.self), k_src, k_dst, count);
   }
 }
 
 void FieldSet::copy_static_planes_from(const FieldSet& src, int k_src, int k_dst,
                                        int count) {
+  join();
   check_plane_copy(src.layout_, layout_, k_src, k_dst, count);
   const int h = layout_.halo();
   num_classes_ = src.num_classes_;
@@ -144,16 +222,29 @@ void FieldSet::copy_static_planes_from(const FieldSet& src, int k_src, int k_dst
 }
 
 double FieldSet::max_field_diff(const FieldSet& a, const FieldSet& b) {
+  if (!(a.layout_ == b.layout_)) {
+    throw std::invalid_argument("max_field_diff: layout mismatch");
+  }
+  const Layout& L = a.layout_;
   double worst = 0.0;
-  for (int c = 0; c < kernels::kNumComps; ++c) {
-    worst = std::max(worst, Field::max_abs_diff(a.fields_[c], b.fields_[c]));
+  for (const auto& ci : kernels::kComps) {
+    for (int k = 0; k < L.nz(); ++k) {
+      for (int j = 0; j < L.ny(); ++j) {
+        const double* ra = a.row(ci.self, j, k);
+        const double* rb = b.row(ci.self, j, k);
+        for (int i = 0; i < 2 * L.nx(); ++i) worst = std::max(worst, std::fabs(ra[i] - rb[i]));
+      }
+    }
   }
   return worst;
 }
 
 std::size_t FieldSet::allocated_bytes() const {
   std::size_t total = cls_.capacity() + zero_row_.capacity() * sizeof(double);
-  for (const auto& f : fields_) total += f.size_bytes();
+  for (const auto& f : store_.fields) total += f.size_bytes();  // 0 while split
+  if (store_.parts) {
+    for (const FieldParts::Part& p : store_.parts->parts) total += p.set->allocated_bytes();
+  }
   for (int c = 0; c < kernels::kNumComps; ++c) {
     total += (t_[c].capacity() + c_[c].capacity()) * sizeof(double);
   }

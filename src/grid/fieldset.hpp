@@ -24,12 +24,27 @@
 //     results match a dense source array bit for bit;
 // about 193 bytes per cell.  models/code_balance.hpp keeps the paper's
 // 40-array counting for Eqs. 8-12.
+//
+// Split storage.  A sharded run (dist::ShardedEngine) leaves the field
+// values in its shard sets instead of copying them back: split() hands
+// them to a FieldParts bundle, each part owning a block of global z-planes,
+// and frees the 12 arrays.  Class ids, tables and source planes stay in the
+// set.  A split set serves its interior rows from the parts (row()), and
+// the next run of the same engine on it works on the parts in place.
+// Everything that hands out a Field or writes (field(), classes(), the
+// coefficient, source and copy writers, set_x_boundary) joins first: it
+// allocates the arrays, copies each part's owned planes in and lets go of
+// the parts.  clear_fields() and clear_all() overwrite every value, so they
+// let go without copying.  A copy of a split set is a joined copy.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "grid/field.hpp"
@@ -51,6 +66,8 @@ namespace emwd::grid {
 /// (the tiling would need wrap-around dependencies otherwise).
 enum class XBoundary : std::uint8_t { Dirichlet, Periodic };
 
+struct FieldParts;
+
 class FieldSet {
  public:
   FieldSet() = default;
@@ -60,8 +77,43 @@ class FieldSet {
 
   const Layout& layout() const { return layout_; }
 
-  Field& field(kernels::Comp c) { return fields_[kernels::idx(c)]; }
-  const Field& field(kernels::Comp c) const { return fields_[kernels::idx(c)]; }
+  /// Component c's array; joins a split set first.
+  Field& field(kernels::Comp c) {
+    join();
+    return store_.fields[kernels::idx(c)];
+  }
+  const Field& field(kernels::Comp c) const {
+    join();
+    return store_.fields[kernels::idx(c)];
+  }
+
+  /// Interior row (j, k) of component c from x = 0: 2 * nx interleaved
+  /// doubles.  A split set reads it from the part that owns plane k.  Never
+  /// joins, so readers may call it from several threads at once, but not
+  /// while a join or a write runs.
+  const double* row(kernels::Comp c, int j, int k) const {
+    if (store_.split.load(std::memory_order_acquire)) return part_row(c, j, k);
+    return store_.fields[kernels::idx(c)].data() + 2 * layout_.at(0, j, k);
+  }
+
+  // ---- split storage (see the file comment) ---------------------------
+
+  /// Hand the field values to `parts`, which the caller has already
+  /// written: the set lets go of any parts it held, frees its 12 arrays and
+  /// reads through `parts` until it joins.  The parts must tile the
+  /// interior planes [0, nz) in order, on layouts of this set's x/y shape.
+  void split(std::shared_ptr<const FieldParts> parts);
+
+  /// Bring a split set's values back into arrays of its own: allocate them
+  /// (z halo planes zero), copy each part's owned planes in and let go of
+  /// the parts.  A no-op on a joined set.  Safe when several threads call
+  /// it at once, as an engine's threads do through field().
+  void join() const {
+    if (store_.split.load(std::memory_order_acquire)) join_parts();
+  }
+
+  /// The parts a split set reads; null when joined.
+  const FieldParts* parts() const { return store_.parts.get(); }
 
   // ---- coefficients --------------------------------------------------
 
@@ -93,7 +145,10 @@ class FieldSet {
 
   /// Class ids, one per padded cell, indexed like the fields (Layout::at).
   /// Writers keep every id below the class count of the last reset.
-  std::uint8_t* classes() { return cls_.data(); }
+  std::uint8_t* classes() {
+    join();
+    return cls_.data();
+  }
   const std::uint8_t* classes() const { return cls_.data(); }
 
   /// The t and c a cell of component c reads.
@@ -121,7 +176,8 @@ class FieldSet {
 
   // ---- whole-set operations ------------------------------------------
 
-  /// Zero all 12 field arrays (coefficients and sources untouched).
+  /// Zero all 12 field arrays (coefficients and sources untouched).  A
+  /// split set lets go of its parts and allocates zero arrays.
   void clear_fields();
 
   /// Return to the state of a freshly constructed set, memory footprint
@@ -129,7 +185,8 @@ class FieldSet {
   /// allocator churn.  The x boundary is kept.
   void clear_all();
 
-  /// Copy the 12 field arrays from another set (layouts must match).
+  /// Copy the 12 field arrays from another set (layouts must match), which
+  /// may be split.
   void copy_fields_from(const FieldSet& other);
 
   /// Shard-view slicing: copy `count` z-planes of the 12 field arrays from
@@ -144,17 +201,46 @@ class FieldSet {
   /// slices.  Used at shard setup.
   void copy_static_planes_from(const FieldSet& src, int k_src, int k_dst, int count);
 
-  /// Max abs elementwise difference over all 12 field arrays.
+  /// Max abs elementwise interior difference over all 12 field arrays;
+  /// either set may be split.
   static double max_field_diff(const FieldSet& a, const FieldSet& b);
 
-  /// Total allocated bytes: fields, class ids, tables and stored planes.
+  /// Total allocated bytes: fields, class ids, tables and stored planes.  A
+  /// split set counts its parts instead of its freed arrays.
   std::size_t allocated_bytes() const;
 
   XBoundary x_boundary() const { return x_boundary_; }
-  void set_x_boundary(XBoundary bc) { x_boundary_ = bc; }
+  void set_x_boundary(XBoundary bc) {
+    join();
+    x_boundary_ = bc;
+  }
 
  private:
   using Doubles = std::vector<double, util::AlignedAllocator<double>>;
+
+  /// The 12 field arrays, or, while split, the parts holding their values
+  /// (the arrays are then released and keep only their layouts).  Copying
+  /// a split store makes a joined copy; a move hands the parts over.
+  struct Store {
+    std::array<Field, kernels::kNumComps> fields;
+    std::shared_ptr<const FieldParts> parts;  // non-null while split
+    std::atomic<bool> split{false};           // lets a joined set skip join_mu
+    std::mutex join_mu;
+
+    Store() = default;
+    Store(const Store& o) { o.copy_to(fields); }
+    Store(Store&& o) noexcept;
+    Store& operator=(const Store&) = delete;
+    ~Store() { let_go(); }
+
+    /// Copy the values into `out`, from the arrays or from the parts.
+    void copy_to(std::array<Field, kernels::kNumComps>& out) const;
+    /// Drop the parts (the arrays stay as they are) and clear the flag.
+    void let_go();
+  };
+
+  void join_parts() const;
+  const double* part_row(kernels::Comp c, int j, int k) const;
 
   /// Offset in doubles, within component c's table, of the entry cell
   /// (i, j, k) reads.
@@ -174,7 +260,7 @@ class FieldSet {
 
   Layout layout_{};
   XBoundary x_boundary_ = XBoundary::Dirichlet;
-  std::array<Field, kernels::kNumComps> fields_;
+  mutable Store store_;  // a join moves values, it changes none
 
   std::vector<std::uint8_t, util::AlignedAllocator<std::uint8_t>> cls_;
   int num_classes_ = 1;
@@ -185,6 +271,24 @@ class FieldSet {
 
   std::array<std::vector<Doubles>, kernels::kNumSources> src_;  // per padded z-plane
   Doubles zero_row_;
+};
+
+/// The sets a split FieldSet's field values live in (FieldSet::split).
+/// Each part owns global z-planes [z0, z1) and stores global plane `first`
+/// as its local plane 0.  The split set and the writer of the parts (the
+/// sharded engine) share the bundle.
+struct FieldParts {
+  struct Part {
+    std::unique_ptr<FieldSet> set;
+    int z0 = 0;
+    int z1 = 0;
+    int first = 0;
+  };
+  std::vector<Part> parts;
+  /// Sets holding the bundle, from split() until the set joins, clears or
+  /// dies.  A writer may reuse the parts once this reads 0: the acquire
+  /// load pairs with the release of the last set to let go.
+  mutable std::atomic<int> holders{0};
 };
 
 }  // namespace emwd::grid

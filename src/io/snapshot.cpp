@@ -292,9 +292,8 @@ void write_snapshot(std::ostream& os, const grid::FieldSet& fs, const SnapshotIn
   const grid::Layout& L = fs.layout();
   const Geometry g{L.nx(), L.ny(), L.nz()};
   if (!(info.extents == L.interior())) fail("info extents do not match FieldSet");
-  serialize_snapshot(os, info, g, [&fs, &L](int f, int j, int k) {
-    return fs.field(kernels::kComps[f].self).data() + 2 * L.at(0, j, k);
-  });
+  serialize_snapshot(os, info, g,
+                     [&fs](int f, int j, int k) { return fs.row(kernels::kComps[f].self, j, k); });
 }
 
 SnapshotInfo read_snapshot(std::istream& is, grid::FieldSet& fs) {
@@ -465,23 +464,22 @@ SnapshotInfo snapshot_from_string(const std::string& blob, grid::FieldSet& fs) {
 namespace {
 
 // Copy the interior rows of `fs` into `rows` in the staging layout (field-major,
-// as the file's chunks).  One thread per cpu the caller may run on, one
-// component array or more each; the team inherits the caller's mask, so a
-// pinned executor's copy stays on its slot.  No span inside: the caller's
-// snapshot.capture covers the copy, and every thread that records a span
-// gets a trace ring of its own.
+// as the file's chunks).  A split set's rows come from its parts.  One
+// thread per cpu the caller may run on, one component array or more each;
+// the team inherits the caller's mask, so a pinned executor's copy stays on
+// its slot.  No span inside: the caller's snapshot.capture covers the copy,
+// and every thread that records a span gets a trace ring of its own.
 void stage_rows(const grid::FieldSet& fs, const Geometry& g, double* rows) {
-  const grid::Layout& L = fs.layout();
   const int team = std::clamp(static_cast<int>(util::get_thread_affinity().cpus.size()), 1,
                               kernels::kNumComps);
   exec::ThreadTeam::run(team, [&](int tid) {
     const exec::Chunk fields = exec::split_range(kernels::kNumComps, team, tid);
     for (int f = fields.begin; f < fields.end; ++f) {
-      const grid::Field& field = fs.field(kernels::kComps[f].self);
+      const kernels::Comp c = kernels::kComps[f].self;
       double* dst = rows + static_cast<std::size_t>(f) * g.field_doubles();
       for (int k = 0; k < g.nz; ++k) {
         for (int j = 0; j < g.ny; ++j) {
-          std::memcpy(dst, field.data() + 2 * L.at(0, j, k), g.row_bytes());
+          std::memcpy(dst, fs.row(c, j, k), g.row_bytes());
           dst += g.row_doubles();
         }
       }

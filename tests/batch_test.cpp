@@ -386,6 +386,37 @@ TEST(SchedulerPooling, PeriodicThenDirichletJobOnOnePooledSetMatchFreshSets) {
   }
 }
 
+TEST(SchedulerPooling, ShardedJobsBackToBackOnOnePooledSetMatchFreshSets) {
+  // The first sharded job leaves its pooled set split onto the pooled
+  // engine's shard sets.  The second job borrows both: clear_all() lets go
+  // of the shard sets and the engine scatters the new job's state into
+  // them, so neither job sees the other's values.
+  batch::SchedulerConfig sc;
+  sc.concurrency = 1;
+  sc.pin_slots = false;
+  batch::Scheduler scheduler(sc);
+  std::vector<thiim::SimulationConfig> configs;
+  for (const double lambda : {14.0, 9.0}) {
+    configs.push_back(scene_config(lambda, "sharded(shards=2,interval=2,inner=naive)"));
+    batch::Job job;
+    job.config = configs.back();
+    job.steps = 9;
+    job.setup = paint_scene;
+    scheduler.submit(std::move(job));
+  }
+  const auto results = scheduler.wait_all();
+  EXPECT_EQ(scheduler.stats().pool.fields_hits, 1);
+  EXPECT_EQ(scheduler.stats().pool.engine_hits, 1);
+  ASSERT_EQ(results.size(), configs.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok) << results[i].error;
+    const Observables ref = run_standalone(configs[i], 9);
+    EXPECT_EQ(results[i].total_energy, ref.total_energy) << "job " << i;
+    EXPECT_EQ(results[i].electric_energy, ref.electric_energy) << "job " << i;
+    EXPECT_EQ(results[i].absorption, ref.absorption) << "job " << i;
+  }
+}
+
 // ------------------------------------------------------------- cancellation
 
 TEST(SchedulerCancel, NoJobStartsAfterCancelReturnsAndQueueDrains) {

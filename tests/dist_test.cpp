@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -26,6 +28,7 @@
 #include "exec/engine_spec.hpp"
 #include "fault/inject.hpp"
 #include "grid/fieldset.hpp"
+#include "io/snapshot.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/update.hpp"
 #include "models/machine.hpp"
@@ -94,21 +97,68 @@ TEST(Partitioner, ClampShards) {
 
 // ------------------------------------------------------------ plane slicing
 
-TEST(PlaneSlicing, ScatterGatherRoundTripsAllArrays) {
+TEST(PlaneSlicing, ScatterSplitJoinRoundTripsAllArrays) {
   Layout L({5, 6, 13});
   FieldSet global(L);
   em::build_random_stable(global, 3);
   global.set_x_boundary(grid::XBoundary::Periodic);
+  const FieldSet original(global);
 
   Partitioner part(L.interior(), 3, 2);
-  FieldSet out(L);  // gather target, initially zero
+  auto bundle = std::make_shared<grid::FieldParts>();
   for (int s = 0; s < part.num_shards(); ++s) {
-    FieldSet shard(part.shard_layout(s));
-    part.scatter(global, shard, s);
-    EXPECT_EQ(shard.x_boundary(), grid::XBoundary::Periodic);
-    part.gather(shard, out, s);
+    const ShardExtent& e = part.shard(s);
+    auto shard = std::make_unique<FieldSet>(part.shard_layout(s));
+    part.scatter(global, *shard, s);
+    EXPECT_EQ(shard->x_boundary(), grid::XBoundary::Periodic);
+    bundle->parts.push_back({std::move(shard), e.z0, e.z1, e.ext_z0()});
   }
-  EXPECT_EQ(FieldSet::max_field_diff(out, global), 0.0);
+  global.split(bundle);
+  EXPECT_EQ(global.parts(), bundle.get());
+  EXPECT_EQ(bundle->holders.load(), 1);
+  // Rows come from the owning shard, in global z order, with no join.
+  for (const auto& ci : kernels::kComps) {
+    for (int k = 0; k < L.nz(); ++k) {
+      for (int j = 0; j < L.ny(); ++j) {
+        ASSERT_EQ(std::memcmp(global.row(ci.self, j, k), original.row(ci.self, j, k),
+                              2 * sizeof(double) * static_cast<std::size_t>(L.nx())),
+                  0)
+            << ci.name << " j=" << j << " k=" << k;
+      }
+    }
+  }
+  EXPECT_EQ(FieldSet::max_field_diff(global, original), 0.0);
+  EXPECT_EQ(global.parts(), bundle.get());
+
+  // Joining copies whole padded planes back (the periodic x halo included)
+  // and lets go of the parts; the z halo planes stay zero.
+  global.join();
+  EXPECT_EQ(global.parts(), nullptr);
+  EXPECT_EQ(bundle->holders.load(), 0);
+  for (const auto& ci : kernels::kComps) {
+    const grid::Field& got = global.field(ci.self);
+    const grid::Field& want = original.field(ci.self);
+    for (int k = -1; k <= L.nz(); ++k) {
+      for (int j = -1; j <= L.ny(); ++j) {
+        for (int i = -1; i <= L.nx(); ++i) {
+          ASSERT_EQ(got.at(i, j, k), want.at(i, j, k)) << ci.name << " " << i << "," << j
+                                                       << "," << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(PlaneSlicing, SplitRejectsPartsThatDoNotTileThePlanes) {
+  const Layout L({4, 4, 8});
+  FieldSet fs(L);
+  auto bundle = std::make_shared<grid::FieldParts>();
+  bundle->parts.push_back({std::make_unique<FieldSet>(Layout({4, 4, 6})), 0, 5, 0});
+  EXPECT_THROW(fs.split(bundle), std::invalid_argument);  // planes 5..7 uncovered
+  bundle->parts.push_back({std::make_unique<FieldSet>(Layout({4, 5, 4})), 5, 8, 4});
+  EXPECT_THROW(fs.split(bundle), std::invalid_argument);  // wrong y extent
+  EXPECT_EQ(fs.parts(), nullptr);
+  EXPECT_EQ(bundle->holders.load(), 0);
 }
 
 TEST(PlaneSlicing, ShardCellsReadTheirGlobalPlanesCoefficients) {
@@ -163,6 +213,165 @@ TEST(PlaneSlicing, FieldPlaneCopyValidatesRanges) {
   EXPECT_THROW(a.copy_z_planes_from(b, 4, 0, 6), std::out_of_range);  // past src top halo
   grid::Field c(Layout({5, 4, 6}));
   EXPECT_THROW(a.copy_z_planes_from(c, 0, 0, 1), std::invalid_argument);
+}
+
+// ------------------------------------------------------- split residency
+
+std::unique_ptr<exec::Engine> build_engine(const std::string& spec, const Layout& layout,
+                                           int threads = 2) {
+  exec::BuildContext ctx;
+  ctx.grid = layout.interior();
+  ctx.threads = threads;
+  return exec::EngineRegistry::global().build(spec, ctx);
+}
+
+FieldSet random_set(const Layout& layout, std::uint64_t seed) {
+  FieldSet fs(layout);
+  em::build_random_stable(fs, seed);
+  return fs;
+}
+
+constexpr const char* kTwoShards = "sharded(shards=2,interval=2,inner=naive)";
+
+TEST(ShardedResidency, RunLeavesTheSetSplitAndReusesItsShardSets) {
+  const Layout L({6, 7, 16});
+  FieldSet fs = random_set(L, 103);
+  const std::size_t joined_bytes = fs.allocated_bytes();
+  const std::size_t array_bytes = kernels::kNumComps * grid::Field(L).size_bytes();
+  const auto engine = build_engine(kTwoShards, L);
+  engine->run(fs, 3);
+
+  // The set holds none of its 12 arrays; it counts the shard sets instead.
+  const grid::FieldParts* parts = fs.parts();
+  ASSERT_NE(parts, nullptr);
+  ASSERT_EQ(parts->parts.size(), 2u);
+  std::size_t part_bytes = 0;
+  for (const grid::FieldParts::Part& p : parts->parts) part_bytes += p.set->allocated_bytes();
+  EXPECT_EQ(fs.allocated_bytes(), joined_bytes - array_bytes + part_bytes);
+
+  // The next run works on the same shard sets in place.
+  const FieldSet* shard0 = parts->parts[0].set.get();
+  engine->run(fs, 2);
+  ASSERT_EQ(fs.parts(), parts);
+  EXPECT_EQ(parts->parts[0].set.get(), shard0);
+
+  FieldSet reference = random_set(L, 103);
+  kernels::reference_step(reference, 5);
+  EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0);
+  EXPECT_EQ(fs.parts(), parts);  // reading rows never joins
+  fs.join();
+  EXPECT_EQ(fs.parts(), nullptr);
+  EXPECT_EQ(fs.allocated_bytes(), joined_bytes);
+  EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0);
+}
+
+TEST(ShardedResidency, SegmentedRunsMatchTheReference) {
+  // Runs on a split set start from the ghost planes the previous run left
+  // stale, including after a partial final round; each must refresh them
+  // before its first compute.
+  const Layout L({5, 6, 14});
+  for (const char* inner : {"naive", "mwd(dw=4,groups=2)"}) {
+    for (int interval : {1, 2, 3}) {
+      const std::string spec = "sharded(shards=3,interval=" + std::to_string(interval) +
+                               ",inner=" + inner + ")";
+      FieldSet fs = random_set(L, 149), reference = random_set(L, 149);
+      const auto engine = build_engine(spec, L, 6);
+      for (int steps : {1, 3, 2, 0, 5}) engine->run(fs, steps);
+      kernels::reference_step(reference, 11);
+      EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << spec;
+    }
+  }
+}
+
+TEST(ShardedResidency, WritesBetweenRunsAreHonoured) {
+  // run(a), a write through the set, run(b) must match the reference given
+  // the same write: every write joins the set, so the next run scatters
+  // the written values (and static planes) again.
+  const Layout L({5, 6, 13});
+  FieldSet other = random_set(L, 107);
+  kernels::reference_step(other, 2);
+  io::SnapshotInfo info;
+  info.extents = L.interior();
+  const std::string blob = io::snapshot_to_string(other, info);
+  const std::vector<std::pair<std::string, std::function<void(FieldSet&)>>> writes = {
+      {"set_source", [](FieldSet& fs) { fs.set_source(0, 2, 3, 6, {0.5, -0.25}); }},
+      {"snapshot_from_string", [&blob](FieldSet& fs) { io::snapshot_from_string(blob, fs); }},
+      {"clear_fields", [](FieldSet& fs) { fs.clear_fields(); }},
+      {"field.set",
+       [](FieldSet& fs) { fs.field(kernels::Comp::Hyx).set(1, 2, 7, {3.0, -1.0}); }},
+  };
+  for (const auto& [name, write] : writes) {
+    FieldSet fs = random_set(L, 109);
+    FieldSet reference = random_set(L, 109);
+    const auto engine = build_engine("sharded(shards=3,interval=2,inner=naive)", L);
+    engine->run(fs, 3);
+    kernels::reference_step(reference, 3);
+    ASSERT_NE(fs.parts(), nullptr) << name;
+    write(fs);
+    write(reference);
+    EXPECT_EQ(fs.parts(), nullptr) << name;
+    engine->run(fs, 4);
+    kernels::reference_step(reference, 4);
+    EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << name;
+  }
+}
+
+TEST(ShardedResidency, AlternatingSetsAndEnginesStayExact) {
+  const Layout L({5, 6, 14});
+  {
+    // One engine on A, B, A: the second run on A finds its shard sets
+    // held by B, so A is joined and scattered into new ones.
+    FieldSet a = random_set(L, 113), b = random_set(L, 127);
+    FieldSet ra = random_set(L, 113), rb = random_set(L, 127);
+    const auto engine = build_engine(kTwoShards, L);
+    engine->run(a, 2);
+    engine->run(b, 3);
+    engine->run(a, 4);
+    EXPECT_NE(a.parts(), nullptr);
+    EXPECT_NE(a.parts(), b.parts());
+    kernels::reference_step(ra, 6);
+    kernels::reference_step(rb, 3);
+    EXPECT_EQ(FieldSet::max_field_diff(a, ra), 0.0);
+    EXPECT_EQ(FieldSet::max_field_diff(b, rb), 0.0);
+  }
+  {
+    // Two engines on one set: each run finds the other engine's parts.
+    FieldSet fs = random_set(L, 131), reference = random_set(L, 131);
+    const auto e1 = build_engine(kTwoShards, L);
+    const auto e2 = build_engine("sharded(shards=3,interval=1,inner=spatial(by=2))", L);
+    e1->run(fs, 2);
+    e2->run(fs, 3);
+    e1->run(fs, 2);
+    kernels::reference_step(reference, 7);
+    EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0);
+  }
+}
+
+TEST(ShardedResidency, SplitSetOutlivesItsEngine) {
+  const Layout L({5, 6, 12});
+  FieldSet fs = random_set(L, 137), reference = random_set(L, 137);
+  build_engine(kTwoShards, L)->run(fs, 4);
+  kernels::reference_step(reference, 4);
+  ASSERT_NE(fs.parts(), nullptr);
+  EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0);
+  fs.join();
+  EXPECT_EQ(fs.parts(), nullptr);
+  EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0);
+}
+
+TEST(ShardedResidency, ThreadedEnginesJoinASplitSetExactly) {
+  // Every thread of an unsharded engine calls field() on the split set at
+  // once; one of them joins it, the rest must see the joined arrays.
+  const Layout L({8, 12, 16});
+  for (const char* spec : {"naive(threads=3)", "mwd(dw=4,bz=1,groups=3)"}) {
+    FieldSet fs = random_set(L, 139), reference = random_set(L, 139);
+    build_engine(kTwoShards, L)->run(fs, 2);
+    ASSERT_NE(fs.parts(), nullptr);
+    build_engine(spec, L, 3)->run(fs, 3);
+    EXPECT_EQ(fs.parts(), nullptr) << spec;
+    kernels::reference_step(reference, 5);
+    EXPECT_EQ(FieldSet::max_field_diff(fs, reference), 0.0) << spec;
+  }
 }
 
 // ------------------------------------------------------------ halo exchange

@@ -1,8 +1,12 @@
 // Unit tests for layouts, fields and the compact THIIM state set.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <complex>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "em/coefficients.hpp"
 #include "grid/field.hpp"
@@ -79,15 +83,12 @@ TEST(Field, InterleavedLayoutMatchesPaperListing) {
   EXPECT_DOUBLE_EQ(f.data()[2 * p + 1], 4.0);
 }
 
-TEST(Field, NormAndMaxAbsDiff) {
+TEST(Field, Norm) {
   Layout L({2, 2, 2});
-  Field a(L), b(L);
+  Field a(L);
   a.set(0, 0, 0, {3.0, 4.0});
+  a.set(-1, 0, 0, {9.0, 9.0});  // halo excluded
   EXPECT_DOUBLE_EQ(a.norm(), 5.0);
-  b.set(0, 0, 0, {3.0, 3.0});
-  EXPECT_DOUBLE_EQ(Field::max_abs_diff(a, b), 1.0);
-  Field c(Layout({3, 2, 2}));
-  EXPECT_THROW(Field::max_abs_diff(a, c), std::invalid_argument);
 }
 
 TEST(FieldSet, StateIsAbout193BytesPerCell) {
@@ -173,6 +174,7 @@ TEST(FieldSet, CopyAndDiff) {
   EXPECT_DOUBLE_EQ(FieldSet::max_field_diff(a, b), 0.0);
   FieldSet c(Layout({5, 4, 4}));
   EXPECT_THROW(c.copy_fields_from(a), std::invalid_argument);
+  EXPECT_THROW(FieldSet::max_field_diff(c, a), std::invalid_argument);
 }
 
 TEST(FieldSet, ClearFieldsKeepsCoefficients) {
@@ -183,6 +185,112 @@ TEST(FieldSet, ClearFieldsKeepsCoefficients) {
   fs.clear_fields();
   EXPECT_EQ(fs.field(kernels::Comp::Exy).at(0, 0, 0), std::complex<double>(0, 0));
   EXPECT_EQ(fs.c_at(kernels::Comp::Exy, 0, 0, 0), std::complex<double>(5, 5));
+}
+
+// ---- split storage ---------------------------------------------------------
+
+/// `fs`'s field values handed to two parts: one owns planes [0, 3) at local
+/// 0, the other owns [3, nz) and stores plane 2 as its local plane 0.
+std::shared_ptr<grid::FieldParts> two_parts(const FieldSet& fs) {
+  const Layout& L = fs.layout();
+  constexpr int kCut = 3;
+  auto lo = std::make_unique<FieldSet>(Layout({L.nx(), L.ny(), kCut}));
+  lo->copy_field_planes_from(fs, 0, 0, kCut);
+  auto hi = std::make_unique<FieldSet>(Layout({L.nx(), L.ny(), L.nz() - kCut + 1}));
+  hi->copy_field_planes_from(fs, kCut - 1, 0, L.nz() - kCut + 1);
+  auto parts = std::make_shared<grid::FieldParts>();
+  parts->parts.push_back({std::move(lo), 0, kCut, 0});
+  parts->parts.push_back({std::move(hi), kCut, L.nz(), kCut - 1});
+  return parts;
+}
+
+std::size_t part_bytes(const grid::FieldParts& parts) {
+  std::size_t total = 0;
+  for (const grid::FieldParts::Part& p : parts.parts) total += p.set->allocated_bytes();
+  return total;
+}
+
+TEST(FieldSet, SplitSetReadsItsPartsUntilAWriteJoinsIt) {
+  const Layout L({5, 4, 7});
+  FieldSet fs(L);
+  em::build_random_stable(fs, 11);
+  fs.field(kernels::Comp::Hzy).set(-1, 2, 4, {7.0, 8.0});  // x halo travels with its plane
+  const FieldSet original(fs);
+  const std::size_t joined_bytes = fs.allocated_bytes();
+  const auto parts = two_parts(fs);
+  fs.split(parts);
+  EXPECT_EQ(fs.parts(), parts.get());
+  EXPECT_EQ(parts->holders.load(), 1);
+  EXPECT_EQ(fs.allocated_bytes(),
+            joined_bytes - kernels::kNumComps * Field(L).size_bytes() + part_bytes(*parts));
+
+  for (const auto& ci : kernels::kComps) {
+    for (int k = 0; k < L.nz(); ++k) {
+      for (int j = 0; j < L.ny(); ++j) {
+        const double* got = fs.row(ci.self, j, k);
+        const double* want = original.row(ci.self, j, k);
+        for (int i = 0; i < 2 * L.nx(); ++i) ASSERT_EQ(got[i], want[i]) << ci.name;
+      }
+    }
+  }
+  // Copies, diffs and the static readers leave the set split.
+  const FieldSet copy(fs);
+  EXPECT_EQ(copy.parts(), nullptr);
+  EXPECT_EQ(FieldSet::max_field_diff(copy, original), 0.0);
+  FieldSet target(L);
+  target.copy_fields_from(fs);
+  EXPECT_EQ(FieldSet::max_field_diff(target, original), 0.0);
+  EXPECT_EQ(fs.t_at(kernels::Comp::Eyx, 1, 2, 3), original.t_at(kernels::Comp::Eyx, 1, 2, 3));
+  EXPECT_EQ(fs.parts(), parts.get());
+
+  // A write joins: the arrays come back whole and the parts are let go.
+  fs.set_coeffs(kernels::Comp::Exy, 0, 0, {1.0, 0.0}, {0.0, 0.0});
+  EXPECT_EQ(fs.parts(), nullptr);
+  EXPECT_EQ(parts->holders.load(), 0);
+  EXPECT_EQ(fs.allocated_bytes(), joined_bytes);
+  EXPECT_EQ(fs.field(kernels::Comp::Hzy).at(-1, 2, 4), std::complex<double>(7.0, 8.0));
+  EXPECT_EQ(FieldSet::max_field_diff(fs, original), 0.0);
+}
+
+TEST(FieldSet, ClearingASplitSetLetsGoOfItsParts) {
+  const Layout L({5, 4, 7});
+  FieldSet fs(L);
+  em::build_random_stable(fs, 13);
+  const FieldSet original(fs);
+  auto parts = two_parts(fs);
+  fs.split(parts);
+  fs.clear_fields();
+  EXPECT_EQ(fs.parts(), nullptr);
+  EXPECT_EQ(parts->holders.load(), 0);
+  EXPECT_EQ(FieldSet::max_field_diff(fs, FieldSet(L)), 0.0);
+  EXPECT_EQ(fs.c_at(kernels::Comp::Hxz, 2, 1, 5), original.c_at(kernels::Comp::Hxz, 2, 1, 5));
+
+  fs.split(two_parts(original));
+  fs.clear_all();
+  EXPECT_EQ(fs.parts(), nullptr);
+  EXPECT_EQ(fs.allocated_bytes(), FieldSet(L).allocated_bytes());
+}
+
+TEST(FieldSet, ConcurrentFieldCallsJoinASplitSetOnce) {
+  // An engine's threads each call field() on the set they run on: the first
+  // joins it, the others must see the joined arrays.
+  const Layout L({6, 5, 8});
+  FieldSet fs(L);
+  em::build_random_stable(fs, 17);
+  const FieldSet original(fs);
+  fs.split(two_parts(fs));
+  constexpr int kThreads = 4;
+  std::vector<std::array<const double*, kernels::kNumComps>> seen(kThreads);
+  std::vector<std::thread> team;
+  for (int t = 0; t < kThreads; ++t) {
+    team.emplace_back([&fs, &seen, t] {
+      for (const auto& ci : kernels::kComps) seen[t][kernels::idx(ci.self)] = fs.field(ci.self).data();
+    });
+  }
+  for (std::thread& th : team) th.join();
+  EXPECT_EQ(fs.parts(), nullptr);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  EXPECT_EQ(FieldSet::max_field_diff(fs, original), 0.0);
 }
 
 }  // namespace

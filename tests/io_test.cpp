@@ -12,7 +12,9 @@
 #include <sstream>
 #include <thread>
 
+#include "em/geometry.hpp"
 #include "em/material.hpp"
+#include "em/observables.hpp"
 #include "io/export.hpp"
 #include "io/snapshot.hpp"
 #include "thiim/simulation.hpp"
@@ -568,6 +570,67 @@ TEST(SnapshotWriter, RotatesChainWhenKeepExceedsOne) {
   EXPECT_FALSE(std::ifstream(path + ".2").good());  // keep=2 bounds the chain
   std::remove(path.c_str());
   std::remove((path + ".1").c_str());
+}
+
+// ------------------------------------------------------------------
+// A sharded run leaves its set split: the readers take rows from the shard
+// sets in global z order, so each output equals the joined copy's.
+
+TEST(SplitSetReaders, MatchTheJoinedCopyByteForByte) {
+  thiim::SimulationConfig cfg;
+  cfg.grid = {6, 5, 16};
+  cfg.wavelength_cells = 12.0;
+  cfg.pml.thickness = 3;
+  cfg.x_boundary = grid::XBoundary::Periodic;
+  cfg.engine_spec = "sharded(shards=3,interval=2,inner=naive)";
+  cfg.threads = 3;
+  thiim::Simulation sim(cfg);
+  const auto asi = sim.materials().add(em::amorphous_silicon());
+  em::GeometryBuilder(sim.materials()).layer(asi, 4, 9);
+  sim.finalize();
+  sim.add_plane_wave(em::SourceField::Ex, 12, {1.0, 0.0});
+  sim.run(7);
+
+  const grid::FieldSet& split = sim.fields();
+  ASSERT_NE(split.parts(), nullptr);
+  const grid::FieldSet joined(split);  // a copy of a split set is joined
+  ASSERT_EQ(joined.parts(), nullptr);
+
+  const io::SnapshotInfo info = sim.snapshot_info();
+  const std::string want = io::snapshot_to_string(joined, info);
+  EXPECT_EQ(io::snapshot_to_string(split, info), want);
+  const std::string from_split = testing::TempDir() + "/emwd_split.ckpt";
+  const std::string from_joined = testing::TempDir() + "/emwd_joined.ckpt";
+  {
+    io::SnapshotWriter writer(split.layout());
+    writer.capture(split, info, from_split);
+    writer.capture(joined, info, from_joined);
+    writer.wait_idle();
+  }
+  EXPECT_EQ(file_bytes(from_split), want);
+  EXPECT_EQ(file_bytes(from_joined), want);
+  std::remove(from_split.c_str());
+  std::remove(from_joined.c_str());
+
+  EXPECT_GT(em::electric_energy(split), 0.0);
+  EXPECT_EQ(em::electric_energy(split), em::electric_energy(joined));
+  EXPECT_EQ(em::magnetic_energy(split), em::magnetic_energy(joined));
+  EXPECT_EQ(em::absorption_by_material(split, sim.materials(), sim.params().omega),
+            em::absorption_by_material(joined, sim.materials(), sim.params().omega));
+  EXPECT_EQ(em::fields_norm(split), em::fields_norm(joined));
+  EXPECT_EQ(em::relative_change(split, joined), 0.0);
+  {
+    grid::FieldSet earlier(joined);
+    earlier.field(kernels::Comp::Ezy).set(2, 3, 11, {0.5, 0.5});
+    EXPECT_EQ(em::relative_change(split, earlier), em::relative_change(joined, earlier));
+  }
+  for (int axis = 0; axis < 3; ++axis) {
+    for (const int k : {0, 5, 6, 10, 15}) {
+      EXPECT_EQ(em::parent_E(split, axis, 2, 3, k), em::parent_E(joined, axis, 2, 3, k));
+      EXPECT_EQ(em::parent_H(split, axis, 4, 1, k), em::parent_H(joined, axis, 4, 1, k));
+    }
+  }
+  EXPECT_NE(split.parts(), nullptr);  // no reader joined it
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -20,6 +21,8 @@
 #include <vector>
 
 #include "batch/sweep.hpp"
+#include "exec/engine.hpp"
+#include "exec/engine_registry.hpp"
 #include "fault/inject.hpp"
 #include "obs/registry.hpp"
 #include "thiim/simulation.hpp"
@@ -475,21 +478,87 @@ TEST(ServeEndToEnd, ReloadUnderLoadNeverDisturbsInFlightJobs) {
   server.stop();
 }
 
+/// The latch a `gate` engine's run() blocks on until it opens.
+class GateLatch {
+ public:
+  void close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+};
+
+GateLatch& gate_latch() {
+  static GateLatch latch;
+  return latch;
+}
+
+/// Engine kind `gate`, registered in the global registry for this test
+/// binary: run() steps nothing and returns once the gate latch opens.  The
+/// daemon checks no engine kind at admission, so a sweep with engine=gate
+/// reaches it.
+class GateEngine final : public exec::Engine {
+ public:
+  std::string name() const override { return "gate"; }
+  int threads() const override { return 1; }
+  void run(grid::FieldSet&, int steps) override {
+    gate_latch().wait();
+    stats_ = exec::EngineStats{};
+    stats_.steps = steps;
+  }
+};
+
+void register_gate_engine() {
+  static const bool registered = [] {
+    exec::EngineRegistry::global().register_builder(
+        "gate", [](const exec::EngineSpec&, const exec::BuildContext&) {
+          return std::make_unique<GateEngine>();
+        });
+    return true;
+  }();
+  (void)registered;
+}
+
 /// Occupy the single executor with a gate job so queue contents are
-/// deterministic, run `body`, then release the gate and drain.
+/// deterministic, run `body`, then release the gate and drain.  The gate
+/// job's engine holds its slot until finish_gate() (or the destructor, so
+/// a failing case cannot hang) opens the latch.
 class GatedServer {
  public:
   explicit GatedServer(const std::string& path, serve::ServerConfig cfg)
       : server_(std::move(cfg)), gate_client_(path) {
+    register_gate_engine();
+    gate_latch().close();
     gate_client_.send(
         "{\"op\":\"sweep\",\"id\":\"gate\",\"spec\":"
-        "\"scene=vacuum;grid=10x10x16;lambda=20;steps=15000;threads=1;"
-        "engine=naive;pml=3\"}");
+        "\"scene=vacuum;grid=10x10x16;lambda=20;steps=1;threads=1;"
+        "engine=gate;pml=3\"}");
     wait_until_running();
   }
+  ~GatedServer() { gate_latch().open(); }
+  GatedServer(const GatedServer&) = delete;
+  GatedServer& operator=(const GatedServer&) = delete;
 
   serve::Server& server() { return server_; }
-  Client::SweepOutcome finish_gate() { return gate_client_.collect(); }
+  Client::SweepOutcome finish_gate() {
+    gate_latch().open();
+    return gate_client_.collect();
+  }
 
  private:
   void wait_until_running() {
@@ -832,17 +901,24 @@ TEST(ServeEndToEnd, AdmissionBoundRejectsExplicitlyAndStillCompletes) {
 
   // One inflight slot is held by the gate and the pending queue holds one
   // job, so a four-job sweep gets exactly one admission and three rejects.
+  // Admission answers (the ack, then the rejects) before the gate opens;
+  // the admitted job's result follows it.
   Client client(path);
-  const Client::SweepOutcome out = client.run_sweep(
-      "scene=vacuum;grid=10x10x16;lambda=11,12,13,14;steps=5;threads=1;"
-      "engine=naive;pml=3");
-  EXPECT_EQ(out.acked_jobs, 4u);
-  EXPECT_EQ(out.rejected, 3u);
-  ASSERT_EQ(out.results.size(), 1u);
-  EXPECT_TRUE(out.results.begin()->second.ok);
+  client.send(
+      "{\"op\":\"sweep\",\"spec\":\"scene=vacuum;grid=10x10x16;lambda=11,12,13,14;"
+      "steps=5;threads=1;engine=naive;pml=3\"}");
+  const JsonValue ack = client.recv();
+  EXPECT_EQ(ack.get_string("type", ""), "ack");
+  EXPECT_EQ(ack.get_int("jobs", 0), 4);
+  const JsonValue rejected = client.recv();
+  EXPECT_EQ(rejected.get_string("type", ""), "rejected");
+  EXPECT_EQ(rejected.get_int("count", 0), 3);
 
   const Client::SweepOutcome gate = gated.finish_gate();
   EXPECT_EQ(gate.results.size(), 1u);
+  const Client::SweepOutcome out = client.collect();
+  ASSERT_EQ(out.results.size(), 1u);
+  EXPECT_TRUE(out.results.begin()->second.ok);
   gated.server().stop();
 }
 
@@ -963,6 +1039,13 @@ TEST(ServeEndToEnd, DisconnectedClientsPendingJobsAreDropped) {
         "{\"op\":\"sweep\",\"spec\":\"scene=vacuum;grid=10x10x16;lambda=11,12;"
         "steps=5;threads=1;engine=naive;pml=3\"}");
     (void)client.recv();  // ack, then hang up with jobs still pending
+  }
+  // The gate holds the slot until the server has seen the hang-up and
+  // dropped the jobs.
+  for (int spin = 0; spin < 2000; ++spin) {
+    const JsonValue status = JsonValue::parse(gated.server().status_json());
+    if (status.find("queue")->get_int("cancelled", -1) >= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   const Client::SweepOutcome gate = gated.finish_gate();
   EXPECT_EQ(gate.results.size(), 1u);
@@ -1166,24 +1249,19 @@ TEST(ServeDegradation, CapacityRejectsAreTransientWithRetryAfter) {
   client.send(
       "{\"op\":\"sweep\",\"spec\":\"scene=vacuum;grid=10x10x16;lambda=11,12,13;"
       "steps=5;threads=1;engine=naive;pml=3\"}");
-  bool saw_reject = false;
-  for (;;) {
-    const JsonValue frame = client.recv();
-    const std::string type = frame.get_string("type", "");
-    if (type == "rejected") {
-      saw_reject = true;
-      EXPECT_EQ(frame.get_string("class", ""), "transient");
-      // The backpressure hint: positive, bounded, grows with the backlog.
-      const double hint = frame.get_double("retry_after", -1.0);
-      EXPECT_GT(hint, 0.0);
-      EXPECT_LE(hint, 5.0);
-    } else if (type == "done") {
-      break;
-    }
-  }
-  EXPECT_TRUE(saw_reject);
+  // Admission answers with the ack, then the rejects, before the gate
+  // opens; the admitted job's result and the done frame follow it.
+  EXPECT_EQ(client.recv().get_string("type", ""), "ack");
+  const JsonValue frame = client.recv();
+  EXPECT_EQ(frame.get_string("type", ""), "rejected");
+  EXPECT_EQ(frame.get_string("class", ""), "transient");
+  // The backpressure hint: positive, bounded, grows with the backlog.
+  const double hint = frame.get_double("retry_after", -1.0);
+  EXPECT_GT(hint, 0.0);
+  EXPECT_LE(hint, 5.0);
 
   gated.finish_gate();
+  EXPECT_EQ(client.collect().results.size(), 1u);
   gated.server().stop();
 }
 
